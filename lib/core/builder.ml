@@ -8,50 +8,33 @@ let max_prog_len = 32
 (* All assembly runs on a {!Prog.Builder.t}: producer-chain insertion
    adds one call at a time, which on the immutable program costs a
    full copy per call. The [Prog.t] entry points below wrap a builder
-   around the same logic (identical Rng draw sequence, so guided
-   generation is reproducible across both forms). *)
+   around the same logic. *)
 
-let producers_for_b target b ~upto kind =
+(* Positions [< upto] of the [len] calls (syscall id of position [k]
+   given by [id_at]) that produce a kind compatible with [kind]. *)
+let producers_in target ~len ~id_at ~upto kind =
+  let mask = Target.is_producer target kind in
   let acc = ref [] in
-  for k = min upto (Prog.Builder.length b) - 1 downto 0 do
-    let c = (Prog.Builder.call b k).Prog.syscall in
-    let produced = Target.produces target c in
-    if
-      List.exists
-        (fun r -> Target.compatible target ~consumer:kind ~producer:r)
-        produced
-    then acc := k :: !acc
+  for k = min upto len - 1 downto 0 do
+    if mask.(id_at k) then acc := k :: !acc
   done;
   !acc
 
 let producers_for target p ~upto kind =
-  let acc = ref [] in
-  for k = min upto (Prog.length p) - 1 downto 0 do
-    let c = (Prog.call p k).Prog.syscall in
-    let produced = Target.produces target c in
-    if
-      List.exists
-        (fun r -> Target.compatible target ~consumer:kind ~producer:r)
-        produced
-    then acc := k :: !acc
-  done;
-  !acc
+  producers_in target ~len:(Prog.length p)
+    ~id_at:(fun k -> (Prog.call p k).Prog.syscall.Syscall.id)
+    ~upto kind
 
-let value_ctx_b target b ~at =
-  {
-    Value_gen.target;
-    producers = (fun kind -> producers_for_b target b ~upto:at kind);
-  }
+let producers_for_b target b ~upto kind =
+  producers_in target ~len:(Prog.Builder.length b)
+    ~id_at:(fun k -> (Prog.Builder.call b k).Prog.syscall.Syscall.id)
+    ~upto kind
 
 let make_call_b rng target b ~at (call : Syscall.t) =
-  let args = Value_gen.gen_args rng (value_ctx_b target b ~at) call in
-  { Prog.syscall = call; args }
-
-let make_call rng target p ~at (call : Syscall.t) =
   let ctx =
     {
       Value_gen.target;
-      producers = (fun kind -> producers_for target p ~upto:at kind);
+      producers = (fun kind -> producers_for_b target b ~upto:at kind);
     }
   in
   { Prog.syscall = call; args = Value_gen.gen_args rng ctx call }

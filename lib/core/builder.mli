@@ -11,16 +11,6 @@ val producers_for :
 (** Indices [< upto] of calls whose produced resource kind is
     compatible with consumer kind. *)
 
-val make_call :
-  Healer_util.Rng.t ->
-  Healer_syzlang.Target.t ->
-  Healer_executor.Prog.t ->
-  at:int ->
-  Healer_syzlang.Syscall.t ->
-  Healer_executor.Prog.call
-(** Synthesize arguments for the call as if inserted at position [at]
-    (resource refs drawn from calls [0 .. at-1]). *)
-
 val insert_call :
   Healer_util.Rng.t ->
   Healer_syzlang.Target.t ->
@@ -53,6 +43,7 @@ val producers_for_b :
   upto:int ->
   string ->
   int list
+(** {!producers_for} over a builder. *)
 
 val make_call_b :
   Healer_util.Rng.t ->
@@ -61,6 +52,8 @@ val make_call_b :
   at:int ->
   Healer_syzlang.Syscall.t ->
   Healer_executor.Prog.call
+(** Synthesize arguments for the call as if inserted at position [at]
+    (resource refs drawn from calls [0 .. at-1]). *)
 
 val insert_call_b :
   Healer_util.Rng.t ->

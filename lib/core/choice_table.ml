@@ -16,11 +16,10 @@ type t = {
   n : int;
   p0 : int array array;  (* normalized static part *)
   p1_raw : int array array;  (* adjacency counters *)
-  mutable p1 : int array array;  (* normalized dynamic part *)
-  mutable dirty : bool;
-  mutable noted : int;
+  mutable vmax : int;  (* largest counter; they only grow *)
   cum : int array option array;
-      (* per-row cumulative select weights, invalidated by refresh *)
+      (* per-row cumulative select weights, built lazily and dropped
+         when the row's counters or [vmax] change *)
 }
 
 let rec collect_sig target acc (ty : Ty.t) =
@@ -100,43 +99,43 @@ let create target =
     n;
     p0 = normalize raw;
     p1_raw = Array.make_matrix n n 0;
-    p1 = Array.make_matrix n n 10;
-    dirty = false;
-    noted = 0;
+    vmax = 0;
     cum = Array.make n None;
   }
 
 let note_corpus_program t (p : Prog.t) =
+  let vmax0 = t.vmax in
   for k = 0 to Prog.length p - 2 do
     let i = (Prog.call p k).Prog.syscall.Syscall.id in
     let j = (Prog.call p (k + 1)).Prog.syscall.Syscall.id in
-    if i < t.n && j < t.n then t.p1_raw.(i).(j) <- t.p1_raw.(i).(j) + 1
+    if i < t.n && j < t.n then begin
+      let v = t.p1_raw.(i).(j) + 1 in
+      t.p1_raw.(i).(j) <- v;
+      if v > t.vmax then t.vmax <- v;
+      t.cum.(i) <- None
+    end
   done;
-  t.noted <- t.noted + 1;
-  t.dirty <- true
+  (* Every P1 entry is scaled by [vmax], so a rise stales every row. *)
+  if t.vmax > vmax0 then Array.fill t.cum 0 t.n None
 
-let refresh t =
-  if t.dirty then begin
-    t.p1 <- normalize t.p1_raw;
-    Array.fill t.cum 0 t.n None;
-    t.dirty <- false
-  end
+(* [P1]: a counter normalized into [10, 1000] by the current maximum,
+   exactly the entry normalizing the whole matrix would give. *)
+let p1 t raw = if t.vmax > 0 then 10 + (raw * 990 / t.vmax) else 10
 
-let weight t i j =
-  refresh t;
-  t.p0.(i).(j) * t.p1.(i).(j) / 1000
+let static_weight t i j = t.p0.(i).(j)
+let weight t i j = t.p0.(i).(j) * p1 t t.p1_raw.(i).(j) / 1000
 
-(* Built lazily per biased row after each refresh; [select] then draws
-   in O(log n) with no per-pick allocation. *)
+(* Built lazily per biased row; [select] then draws in O(log n) with no
+   per-pick allocation. *)
 let cum_row t b =
   match t.cum.(b) with
   | Some row -> row
   | None ->
     let row = Array.make t.n 0 in
-    let p0b = t.p0.(b) and p1b = t.p1.(b) in
+    let p0b = t.p0.(b) and rawb = t.p1_raw.(b) in
     let acc = ref 0 in
     for j = 0 to t.n - 1 do
-      acc := !acc + max 1 (p0b.(j) * p1b.(j) / 1000);
+      acc := !acc + max 1 (p0b.(j) * p1 t rawb.(j) / 1000);
       row.(j) <- !acc
     done;
     t.cum.(b) <- Some row;
@@ -147,7 +146,6 @@ let select rng t ~bias =
   | None -> Rng.int rng t.n
   | Some b when b < 0 || b >= t.n -> Rng.int rng t.n
   | Some b ->
-    refresh t;
     let row = cum_row t b in
     (* Same single draw as [Rng.weighted] over the per-j weights, so
        picks are bit-identical to the old list-based sampling. *)

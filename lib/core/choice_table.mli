@@ -18,7 +18,9 @@ val create : Healer_syzlang.Target.t -> t
 
 val note_corpus_program : t -> Healer_executor.Prog.t -> unit
 (** Count the adjacent pairs of a corpus program into [P1]'s raw
-    counters (renormalized lazily). *)
+    counters. Normalization is lazy and per row: only the rows whose
+    counters changed are re-weighted, or every row when the largest
+    counter rises. *)
 
 val select :
   Healer_util.Rng.t -> t -> bias:int option -> int
@@ -28,3 +30,6 @@ val select :
 
 val weight : t -> int -> int -> int
 (** Current [P(i,j)] (for tests and the ablation bench). *)
+
+val static_weight : t -> int -> int -> int
+(** The static part [P0(i,j)] alone (for tests). *)

@@ -59,11 +59,8 @@ let gen_resource rng ctx kind =
     else Value.Res_special (-1L)
 
 let gen_buffer rng =
-  let n = Rng.pick_arr rng buf_sizes in
-  let b = Bytes.create n in
-  for i = 0 to n - 1 do
-    Bytes.set b i (Char.chr (Rng.int rng 256))
-  done;
+  let b = Bytes.create (Rng.pick_arr rng buf_sizes) in
+  Rng.fill_bytes rng b;
   Value.Buf b
 
 let long_string rng =

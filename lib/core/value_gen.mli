@@ -18,6 +18,9 @@ type ctx = {
           resource compatible with consumer kind [kind]. *)
 }
 
+val buf_sizes : int array
+(** The lengths a generated [Buffer] argument is drawn from. *)
+
 val gen_args :
   Healer_util.Rng.t -> ctx -> Healer_syzlang.Syscall.t -> Healer_executor.Value.t list
 (** Fresh arguments for a call, length fields resolved. *)

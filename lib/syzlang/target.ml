@@ -8,10 +8,14 @@ type t = {
   structs : (string, Field.t list) Hashtbl.t;
   unions : (string, Field.t list) Hashtbl.t;
   resources : (string, resource_info) Hashtbl.t;
+  kinds : string list;  (* resource kind names, sorted *)
   (* Struct-expanded produce/consume sets, per syscall id. *)
   produced : string list array;
   consumed : string list array;
   producers : (string, Syscall.t list) Hashtbl.t;
+  (* Per consumer kind, indexed by syscall id: does the call produce a
+     compatible kind? The [producers] lists as a lookup table. *)
+  producer_mask : (string, bool array) Hashtbl.t;
   consumers : (string, Syscall.t list) Hashtbl.t;
   (* Source line of each declaration, keyed by "kind:name" (kinds:
      call, struct, union, flags, resource). Empty when the target was
@@ -161,6 +165,9 @@ let is_subtype t ~sub ~sup =
 
 let compatible t ~consumer ~producer = is_subtype t ~sub:producer ~sup:consumer
 
+let sorted_keys tbl =
+  List.sort String.compare (Hashtbl.fold (fun k _ acc -> k :: acc) tbl [])
+
 let compile_located ?(name = "sim") ldecls =
   let flagsets = Hashtbl.create 64 in
   let structs : (string, Field.t list) Hashtbl.t = Hashtbl.create 64 in
@@ -253,9 +260,11 @@ let compile_located ?(name = "sim") ldecls =
       structs = structs';
       unions = unions';
       resources;
+      kinds = sorted_keys resources;
       produced = Array.make (Array.length calls) [];
       consumed = Array.make (Array.length calls) [];
       producers = Hashtbl.create 64;
+      producer_mask = Hashtbl.create 64;
       consumers = Hashtbl.create 64;
       positions;
     }
@@ -283,7 +292,6 @@ let compile_located ?(name = "sim") ldecls =
       t.produced.(c.id) <- compute_produced t c;
       t.consumed.(c.id) <- compute_consumed t c)
     calls;
-  let kinds = Hashtbl.fold (fun k _ acc -> k :: acc) resources [] in
   List.iter
     (fun kind ->
       let produces_compatible (c : Syscall.t) =
@@ -292,11 +300,14 @@ let compile_located ?(name = "sim") ldecls =
       let consumes_compatible (c : Syscall.t) =
         List.exists (fun cns -> compatible t ~consumer:cns ~producer:kind) t.consumed.(c.id)
       in
-      Hashtbl.add t.producers kind
-        (List.filter produces_compatible (Array.to_list calls));
+      let producers = List.filter produces_compatible (Array.to_list calls) in
+      let mask = Array.make (Array.length calls) false in
+      List.iter (fun (c : Syscall.t) -> mask.(c.id) <- true) producers;
+      Hashtbl.add t.producers kind producers;
+      Hashtbl.add t.producer_mask kind mask;
       Hashtbl.add t.consumers kind
         (List.filter consumes_compatible (Array.to_list calls)))
-    kinds;
+    t.kinds;
   t
 
 let compile ?name decls =
@@ -333,11 +344,7 @@ let union_fields t name =
   | Some fs -> fs
   | None -> error "unknown union %s" name
 
-let resource_kinds t =
-  List.sort String.compare (Hashtbl.fold (fun k _ acc -> k :: acc) t.resources [])
-
-let sorted_keys tbl =
-  List.sort String.compare (Hashtbl.fold (fun k _ acc -> k :: acc) tbl [])
+let resource_kinds t = t.kinds
 
 let struct_names t = sorted_keys t.structs
 let union_names t = sorted_keys t.unions
@@ -359,6 +366,11 @@ let consumes t (c : Syscall.t) = t.consumed.(c.id)
 let producers_of t kind =
   match Hashtbl.find_opt t.producers kind with
   | Some cs -> cs
+  | None -> error "unknown resource %s" kind
+
+let is_producer t kind =
+  match Hashtbl.find_opt t.producer_mask kind with
+  | Some m -> m
   | None -> error "unknown resource %s" kind
 
 let consumers_of t kind =
@@ -433,8 +445,7 @@ let lint t =
       in
       if not produced then warn "resource %s has no producer" kind;
       if not consumed then warn "resource %s has no consumer" kind)
-    (List.sort String.compare
-       (Hashtbl.fold (fun k _ acc -> k :: acc) t.resources []));
+    t.kinds;
   Hashtbl.iter
     (fun name _ ->
       if not (Hashtbl.mem used_flags name) then warn "flag set %s is unused" name)

@@ -75,6 +75,11 @@ val consumes : t -> Syscall.t -> string list
 val producers_of : t -> string -> Syscall.t list
 (** Calls producing a kind compatible with the given consumer kind. *)
 
+val is_producer : t -> string -> bool array
+(** [is_producer t kind] is indexed by syscall id: slot [id] holds iff
+    that call is in [producers_of t kind]. Built once at compile time;
+    callers must not mutate it. *)
+
 val consumers_of : t -> string -> Syscall.t list
 (** Calls consuming a kind compatible with the given producer kind. *)
 

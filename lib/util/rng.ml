@@ -1,27 +1,47 @@
-type t = { mutable state : int64 }
+(* The 64-bit SplitMix64 state lives in an 8-byte buffer read and
+   written with [get/set_int64_le], so advancing it stores raw bits in
+   place instead of allocating a boxed [int64] per draw. *)
+type t = Bytes.t
 
 let golden_gamma = 0x9E3779B97F4A7C15L
 
 (* SplitMix64 finalizer: Stafford's mix13 variant. *)
-let mix64 z =
+let[@inline] mix64 z =
   let z = Int64.(mul (logxor z (shift_right_logical z 30)) 0xBF58476D1CE4E5B9L) in
   let z = Int64.(mul (logxor z (shift_right_logical z 27)) 0x94D049BB133111EBL) in
   Int64.(logxor z (shift_right_logical z 31))
 
-let create seed = { state = mix64 (Int64.of_int seed) }
+let of_state s =
+  let t = Bytes.create 8 in
+  Bytes.set_int64_le t 0 s;
+  t
 
-let bits64 t =
-  t.state <- Int64.add t.state golden_gamma;
-  mix64 t.state
+let create seed = of_state (mix64 (Int64.of_int seed))
 
-let split t = { state = bits64 t }
-let copy t = { state = t.state }
+let[@inline] bits64 t =
+  let s = Int64.add (Bytes.get_int64_le t 0) golden_gamma in
+  Bytes.set_int64_le t 0 s;
+  mix64 s
+
+let split t = of_state (bits64 t)
+let copy = Bytes.copy
 
 let int t bound =
   if bound <= 0 then invalid_arg "Rng.int: bound must be positive";
   let mask = Int64.of_int max_int in
   let v = Int64.to_int (Int64.logand (bits64 t) mask) in
   v mod bound
+
+(* Byte [i] is the low 8 bits of the [i]-th draw, which is what
+   [int t 256] returns, so the stream is unchanged; the state is only
+   stored back once. *)
+let fill_bytes t b =
+  let s = ref (Bytes.get_int64_le t 0) in
+  for i = 0 to Bytes.length b - 1 do
+    s := Int64.add !s golden_gamma;
+    Bytes.set b i (Char.unsafe_chr (Int64.to_int (mix64 !s) land 0xff))
+  done;
+  Bytes.set_int64_le t 0 !s
 
 let int_in t lo hi =
   if lo > hi then invalid_arg "Rng.int_in: lo > hi";

@@ -26,6 +26,11 @@ val bits64 : t -> int64
 val int : t -> int -> int
 (** [int t bound] is uniform in \[0, bound). Requires [bound > 0]. *)
 
+val fill_bytes : t -> Bytes.t -> unit
+(** [fill_bytes t b] overwrites [b] with random bytes. Stream-equal to
+    setting byte [i] to [Char.chr (int t 256)] for [i = 0 .. length b - 1]:
+    the same bytes, and [t] is left in the same state. *)
+
 val int_in : t -> int -> int -> int
 (** [int_in t lo hi] is uniform in \[lo, hi\]. Requires [lo <= hi]. *)
 

@@ -63,6 +63,88 @@ let test_choice_select () =
     if v < 0 || v >= n then Alcotest.fail "biased select out of range"
   done
 
+(* The whole-matrix form of P1 the table used to maintain: after every
+   note, all counters renormalized into [10, 1000] against the largest.
+   Kept as the oracle for the lazy per-row normalization. *)
+let reference_weights ct counts =
+  let n = Array.length counts in
+  let vmax = Array.fold_left (fun m row -> Array.fold_left max m row) 0 counts in
+  Array.init n (fun i ->
+      Array.init n (fun j ->
+          let p1 = if vmax > 0 then 10 + (counts.(i).(j) * 990 / vmax) else 10 in
+          Choice_table.static_weight ct i j * p1 / 1000))
+
+type choice_op = Note of int | Select of int * int
+
+(* Notes draw from a small pool of programs, so the same adjacent pairs
+   recur and the largest counter rises many times; selects in between
+   fill row caches that later notes must invalidate. *)
+let test_choice_incremental_oracle =
+  let op =
+    QCheck2.Gen.(
+      frequency
+        [ (3, map (fun k -> Note k) (int_bound 3));
+          (2, map2 (fun b s -> Select (b, s)) (int_bound 1000) small_int) ])
+  in
+  qcheck ~count:12 "choice table ≡ whole-matrix normalization"
+    QCheck2.Gen.(pair small_int (list_size (int_range 1 40) op))
+    (fun (seed, ops) ->
+      let t = tgt () in
+      let n = Target.n_syscalls t in
+      let rng = Healer_util.Rng.create seed in
+      let uniform ~sub:_ = Healer_util.Rng.int rng n in
+      let pool = Array.init 4 (fun _ -> Gen.generate rng t ~select:uniform ()) in
+      (* A few rows the notes touch (each program's first call), so
+         that a cached row is often selected again after a note. *)
+      let rows =
+        Array.of_list
+          (List.concat_map
+             (fun p -> Gen.syscall_ids p ~upto:(min 1 (Prog.length p - 1)))
+             (Array.to_list pool))
+      in
+      let ct = Choice_table.create t in
+      let counts = Array.make_matrix n n 0 in
+      let noted = ref [] in
+      let weights_agree () =
+        let want = reference_weights ct counts in
+        let ok = ref true in
+        for i = 0 to n - 1 do
+          for j = 0 to n - 1 do
+            if Choice_table.weight ct i j <> want.(i).(j) then ok := false
+          done
+        done;
+        !ok
+      in
+      let selects_agree (b, s) =
+        let bias =
+          if b mod 4 <> 0 && rows <> [||] then rows.(b / 4 mod Array.length rows)
+          else b mod n
+        in
+        let fresh = Choice_table.create t in
+        List.iter (Choice_table.note_corpus_program fresh) (List.rev !noted);
+        let r = Healer_util.Rng.create s in
+        let r' = Healer_util.Rng.copy r in
+        List.init 64 (fun _ -> Choice_table.select r ct ~bias:(Some bias))
+        = List.init 64 (fun _ -> Choice_table.select r' fresh ~bias:(Some bias))
+      in
+      let ok =
+        List.for_all
+          (function
+            | Note k ->
+              let p = pool.(k) in
+              for c = 0 to Prog.length p - 2 do
+                let i = (Prog.call p c).Prog.syscall.Syscall.id in
+                let j = (Prog.call p (c + 1)).Prog.syscall.Syscall.id in
+                counts.(i).(j) <- counts.(i).(j) + 1
+              done;
+              Choice_table.note_corpus_program ct p;
+              noted := p :: !noted;
+              true
+            | Select (b, s) -> weights_agree () && selects_agree (b, s))
+          ops
+      in
+      ok && weights_agree ())
+
 (* ---- distillation ---- *)
 
 let test_dependencies_resource_flow () =
@@ -165,6 +247,7 @@ let suite =
     case "choice resourceless low" test_choice_resourceless_low;
     case "choice dynamic part" test_choice_dynamic_part;
     case "choice select" test_choice_select;
+    test_choice_incremental_oracle;
     case "deps: resource flow" test_dependencies_resource_flow;
     case "deps: shared subsystem" test_dependencies_shared_subsystem;
     case "slice runnable" test_slice_runnable;

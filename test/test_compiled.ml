@@ -76,7 +76,10 @@ let test_derived_forms =
         let c = Compiled.compile p in
         let rng = Rng.create (seed + 77) in
         let at = Rng.int rng (n + 1) in
-        let nc = Builder.make_call rng (tgt ()) p ~at (Prog.call p (Rng.int rng n)).Prog.syscall in
+        let nc =
+          Builder.make_call_b rng (tgt ()) (Prog.Builder.of_prog p) ~at
+            (Prog.call p (Rng.int rng n)).Prog.syscall
+        in
         let agree derived edited =
           Compiled.prog derived = edited
           && observe_compiled derived = observe_compiled (Compiled.compile edited)

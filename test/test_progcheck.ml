@@ -378,10 +378,10 @@ let test_edit_renumbering =
             let before = ref_labels !p !labels in
             let calls = Target.syscalls t in
             let sc = calls.(Rng.int rng (Array.length calls)) in
-            (* make_call + Prog.insert adds exactly one call, which is
-               what the label model tracks (insert_call may splice in
-               whole producer chains) *)
-            let c = Builder.make_call rng t !p ~at sc in
+            (* make_call_b + Prog.insert adds exactly one call, which
+               is what the label model tracks (insert_call may splice
+               in whole producer chains) *)
+            let c = Builder.make_call_b rng t (Prog.Builder.of_prog !p) ~at sc in
             p := Prog.insert !p at c;
             let l = !fresh in
             incr fresh;

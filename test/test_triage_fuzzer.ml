@@ -247,6 +247,39 @@ let test_fuzzer_fixed_alpha_stays () =
   Fuzzer.run_until f 3600.0;
   Alcotest.(check (float 1e-9)) "alpha pinned" 0.9 (Fuzzer.alpha_value f)
 
+(* Digest of a campaign's whole observable outcome: executions, the
+   coverage bitset, corpus encodings, relation edges and crash keys. *)
+let campaign_digest tool =
+  let f =
+    Fuzzer.create (Fuzzer.config ~seed:1 ~tool ~version:K.Version.V5_11 ())
+  in
+  Fuzzer.run_until f 7200.0;
+  let b = Buffer.create 4096 in
+  let add s =
+    Buffer.add_string b (string_of_int (String.length s));
+    Buffer.add_char b ':';
+    Buffer.add_string b s
+  in
+  add (string_of_int (Fuzzer.execs f));
+  List.iter (fun i -> add (string_of_int i))
+    (Healer_util.Bitset.elements (Fuzzer.coverage_set f));
+  Corpus.iter (fun p -> add (Healer_executor.Serializer.encode p)) (Fuzzer.corpus f);
+  (match Fuzzer.relations f with
+  | None -> add "none"
+  | Some r ->
+    List.iter (fun (i, j) -> add (Printf.sprintf "%d,%d" i j)) (Relation_table.edges r));
+  List.iter (fun (r : Triage.record) -> add r.bug_key) (Triage.records (Fuzzer.triage f));
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+(* The fixed-seed campaigns pinned: seed 1, kernel 5.11, 2 virtual
+   hours. A change to these values is a change to the RNG stream or to
+   campaign behaviour; make it deliberately and log it in CHANGES.md. *)
+let test_campaign_fingerprint () =
+  Alcotest.(check string) "healer" "fb294551c5d58ea8fa337c4adf01a796"
+    (campaign_digest Fuzzer.Healer);
+  Alcotest.(check string) "syzkaller" "3a7294fc0b9b45abacc63de63a8f223d"
+    (campaign_digest Fuzzer.Syzkaller)
+
 let suite =
   [
     case "symbolize full catalog" test_symbolize_all_catalog;
@@ -259,6 +292,7 @@ let suite =
     case "fuzzer moonshine seeds" test_fuzzer_moonshine_seeds;
     case "fuzzer finds shallow bug" test_fuzzer_finds_shallow_bug;
     case "fuzzer deterministic" test_fuzzer_deterministic;
+    case "campaign fingerprint pinned" test_campaign_fingerprint;
     case "campaign run_one" test_campaign_run_one;
     case "campaign math" test_campaign_math;
     case "campaign average series" test_campaign_average_series;

@@ -83,6 +83,70 @@ let test_rng_chance_extremes () =
   Alcotest.(check bool) "p=0 never" false (Rng.chance rng 0.0);
   Alcotest.(check bool) "p=1 always" true (Rng.chance rng 1.0)
 
+(* SplitMix64 outputs pinned from the boxed-[int64] implementation:
+   any change to the state representation must keep the stream. *)
+let rng_golden =
+  [
+    ( 0,
+      [ 0xe220a8397b1dcdafL; 0x6e789e6aa1b965f4L; 0x06c45d188009454fL;
+        0xf88bb8a8724c81ecL; 0x1b39896a51a8749bL; 0x53cb9f0c747ea2eaL;
+        0x2c829abe1f4532e1L; 0xc584133ac916ab3cL ] );
+    ( 1,
+      [ 0xbfef8030ddc2d772L; 0x5f552ce482f2aa47L; 0x70335fc3daf3d8a7L;
+        0xf440fe3b62c79d2cL; 0x33ba2f29e7c168bbL; 0x98843f48a94b7866L;
+        0x74ad4c24d41a25f8L; 0x2f9a1f13648eab6eL ] );
+    ( 42,
+      [ 0x989b3f130a063869L; 0x290db4bf2570ded7L; 0x2a990be63a01b2d5L;
+        0x0c4b6b24ef01890eL; 0xfb16a06e52ec10a7L; 0x3c30fc5fd50692c3L;
+        0x4782c4b4c4fdf7c9L; 0x272404a0a3926552L ] );
+  ]
+
+let draws rng n = List.init n (fun _ -> Rng.bits64 rng)
+
+let test_rng_golden () =
+  List.iter
+    (fun (seed, want) ->
+      Alcotest.(check (list int64))
+        (Printf.sprintf "seed %d" seed) want
+        (draws (Rng.create seed) 8))
+    rng_golden;
+  let parent = Rng.create 42 in
+  let child = Rng.split parent in
+  Alcotest.(check (list int64)) "split child"
+    [ 0x5599b3e06d073327L; 0xd6171d07a31128dfL; 0xed057ba08584c10bL;
+      0x9ea45beebee33b1cL ]
+    (draws child 4);
+  (* [split] consumes exactly one draw of the parent. *)
+  Alcotest.(check (list int64)) "split parent"
+    (List.filteri (fun i _ -> i >= 1 && i <= 4) (List.assoc 42 rng_golden))
+    (draws parent 4);
+  let a = Rng.create 7 in
+  ignore (draws a 3);
+  let b = Rng.copy a in
+  let want =
+    [ 0xe21b503436e97f5bL; 0xa9e76cff841529f5L; 0x583825d25ace04f8L;
+      0x660295fd0c2fa166L ]
+  in
+  Alcotest.(check (list int64)) "copy" want (draws b 4);
+  Alcotest.(check (list int64)) "original after copy" want (draws a 4)
+
+(* [fill_bytes] is stream-equal to one [int t 256] per byte: the same
+   bytes, and the generator left where the per-byte loop leaves it. *)
+let test_rng_fill_bytes =
+  let lengths =
+    QCheck2.Gen.(
+      oneof
+        [ int_range 0 16384;
+          oneofa Healer_core.Value_gen.buf_sizes ])
+  in
+  qcheck "fill_bytes ≡ per-byte Rng.int 256" QCheck2.Gen.(pair small_int lengths)
+    (fun (seed, n) ->
+      let a = Rng.create seed and b = Rng.create seed in
+      let bulk = Bytes.make n '?' in
+      Rng.fill_bytes a bulk;
+      let bytewise = Bytes.init n (fun _ -> Char.chr (Rng.int b 256)) in
+      Bytes.equal bulk bytewise && Rng.bits64 a = Rng.bits64 b)
+
 let test_bitset_basic () =
   let b = Bitset.create () in
   Alcotest.(check int) "empty" 0 (Bitset.count b);
@@ -201,6 +265,8 @@ let suite =
     case "rng seed sensitivity" test_rng_seed_sensitivity;
     case "rng copy" test_rng_copy;
     case "rng split independent" test_rng_split_independent;
+    case "rng golden vectors" test_rng_golden;
+    test_rng_fill_bytes;
     test_rng_int_range;
     test_rng_int_in;
     case "rng weighted zero" test_rng_weighted;
