@@ -458,21 +458,6 @@ let ablation () =
 (* name -> ns/run, for the JSON report. *)
 let micro_results : (string * float) list ref = ref []
 
-(* Counters of the probe cache exercised by the cache-on rows (and the
-   [cache] smoke section), for the JSON report. *)
-let probe_cache_stats : (Healer_executor.Exec_cache.stats * float) option ref =
-  ref None
-
-let report_cache_stats cache =
-  let s = Healer_executor.Exec_cache.stats cache in
-  let rate = Healer_executor.Exec_cache.hit_rate cache in
-  Fmt.pr "  %-26s %d hits / %d misses (%.0f%% hit rate), %d resumed, %d evictions@."
-    "probe cache" s.Healer_executor.Exec_cache.hits
-    s.Healer_executor.Exec_cache.misses (100.0 *. rate)
-    s.Healer_executor.Exec_cache.resumed_calls
-    s.Healer_executor.Exec_cache.evictions;
-  probe_cache_stats := Some (s, rate)
-
 let micro () =
   section "Micro-benchmarks (bechamel)";
   let open Bechamel in
@@ -501,14 +486,6 @@ let micro () =
       ~new_cov:(Array.map (fun (c : Healer_executor.Exec.call_result) -> c.Healer_executor.Exec.cov) sample_run.Healer_executor.Exec.calls)
   in
   let min_exec p = snd (Healer_executor.Exec.run ~cov:bench_cov kernel p) in
-  (* One long-lived cache, like the fuzzer's pool: successive probe
-     sweeps over the same test case hit warm prefixes. *)
-  let probe_cache = Healer_executor.Exec_cache.create ~version:K.Version.V5_11 () in
-  let cached_exec p = Healer_executor.Exec_cache.run probe_cache ~cov:bench_cov p in
-  let dlearn exec () =
-    let t = Relation_table.create (Target.n_syscalls target) in
-    ignore (Dynamic_learning.learn ~exec ~table:t [ sample_pc ])
-  in
   (* A deterministic netlink round-trip — rtnetlink link bring-up, a
      generic-netlink family resolution and a queue drain — isolating
      the nlmsghdr/TLV parsing hot path. *)
@@ -557,14 +534,13 @@ let micro () =
       Test.make ~name:"cov_equal"
         (Staged.stage (fun () ->
              ignore (Healer_executor.Exec.cov_equal trace trace_shuffled)));
-      Test.make ~name:"minimize probe (cache off)"
+      Test.make ~name:"minimize probe"
         (Staged.stage (fun () ->
              ignore (Minimize.minimize ~exec:min_exec sample_pc)));
-      Test.make ~name:"minimize probe (cache on)"
+      Test.make ~name:"dlearn probe"
         (Staged.stage (fun () ->
-             ignore (Minimize.minimize ~exec:cached_exec sample_pc)));
-      Test.make ~name:"dlearn probe (cache off)" (Staged.stage (dlearn min_exec));
-      Test.make ~name:"dlearn probe (cache on)" (Staged.stage (dlearn cached_exec));
+             let t = Relation_table.create (Target.n_syscalls target) in
+             ignore (Dynamic_learning.learn ~exec:min_exec ~table:t [ sample_pc ])));
       Test.make ~name:"serializer encode"
         (Staged.stage (fun () -> ignore (Healer_executor.Serializer.encode sample_prog)));
       Test.make ~name:"serializer decode"
@@ -622,50 +598,7 @@ let micro () =
           | _ -> Fmt.pr "  %-26s %14s@." (Test.Elt.name elt) "n/a")
         (Test.elements test))
     tests;
-  micro_results := List.rev !micro_results;
-  report_cache_stats probe_cache;
-  (match
-     ( List.assoc_opt "minimize probe (cache off)" !micro_results,
-       List.assoc_opt "minimize probe (cache on)" !micro_results )
-   with
-  | Some off, Some on when on > 0.0 ->
-    Fmt.pr "  %-26s %13.1fx@." "minimize cache speedup" (off /. on)
-  | _ -> ())
-
-(* ---- probe-cache smoke (cheap enough for every build) ---- *)
-
-(* Two minimization sweeps over one interesting input through a shared
-   cache: the second sweep's probes are warm, so hits/misses/resumes
-   must all be non-trivial. Exercises the same code path as the
-   cache-on micro rows without bechamel's sampling cost. *)
-let cache_smoke () =
-  section "Probe cache (prefix-caching execution engine)";
-  let target = K.Kernel.target () in
-  let rng = Healer_util.Rng.create 1 in
-  let sample_prog =
-    Gen.generate rng target
-      ~select:(fun ~sub:_ -> Healer_util.Rng.int rng (Target.n_syscalls target))
-      ()
-  in
-  let cov = K.Coverage.create () in
-  let kernel = K.Kernel.boot ~version:K.Version.V5_11 () in
-  let sample_run = snd (Healer_executor.Exec.run ~cov kernel sample_prog) in
-  let sample_pc =
-    Prog_cov.of_run sample_prog sample_run
-      ~new_cov:
-        (Array.map
-           (fun (c : Healer_executor.Exec.call_result) -> c.Healer_executor.Exec.cov)
-           sample_run.Healer_executor.Exec.calls)
-  in
-  let cache = Healer_executor.Exec_cache.create ~version:K.Version.V5_11 () in
-  let exec p = Healer_executor.Exec_cache.run cache ~cov p in
-  for _ = 1 to 2 do
-    let table = Relation_table.create (Target.n_syscalls target) in
-    List.iter
-      (fun pc -> ignore (Dynamic_learning.learn ~exec ~table [ pc ]))
-      (Minimize.minimize ~exec sample_pc)
-  done;
-  report_cache_stats cache
+  micro_results := List.rev !micro_results
 
 (* ---- lockdep overhead smoke (cheap enough for every build) ---- *)
 
@@ -751,102 +684,6 @@ let effects_smoke () =
   Fmt.pr "  %-26s %14.0f@." "exec (effect hooks on)" on;
   Fmt.pr "  %-26s %13.1f%%@." "effect overhead"
     (if off > 0.0 then (on -. off) /. off *. 100.0 else 0.0)
-
-(* ---- compiled-engine smoke (cheap enough for every build) ---- *)
-
-(* Compile once, execute many: lowering cost, fresh-run cost, the
-   isolated exec loop with the reboot amortized away, and the warm
-   probe loop (the minimization/relearning workload the compiled
-   engine plus the prefix cache serve together). Measured with the
-   lockdep_smoke min-of-batches method. Before timing anything, every
-   seed program must produce bit-identical results on both engines —
-   a broken compile path fails this section, and with it `dune
-   runtest` (via @bench-smoke). *)
-let compiled_smoke () =
-  section "Compiled execution (compile once, execute many)";
-  let module E = Healer_executor in
-  let target = K.Kernel.target () in
-  let kernel = K.Kernel.boot ~version:K.Version.V5_11 () in
-  let cov = K.Coverage.create () in
-  let progs = Seeds.traces target @ Seeds.distilled target in
-  let nprogs = List.length progs in
-  let compiled = List.map E.Compiled.compile progs in
-  (* Differential gate over the whole seed corpus. *)
-  List.iter2
-    (fun p c ->
-      let _, ri = E.Exec.run ~cov kernel p in
-      let _, rc = E.Exec.run_compiled ~cov kernel c in
-      if ri <> rc then
-        failwith
-          ("compiled engine diverged from the interpreter on:\n"
-          ^ E.Prog.to_string p))
-    progs compiled;
-  Fmt.pr "  differential gate: %d seed programs bit-identical@." nprogs;
-  let batches = 12 and rounds = 200 in
-  let measure name pass =
-    ignore (pass ());
-    let best = ref infinity in
-    for _ = 1 to batches do
-      let t0 = Unix.gettimeofday () in
-      for _ = 1 to rounds do
-        pass ()
-      done;
-      let dt = Unix.gettimeofday () -. t0 in
-      best := Float.min !best (dt /. float_of_int (rounds * nprogs) *. 1e9)
-    done;
-    micro_results := !micro_results @ [ (name, !best) ];
-    Fmt.pr "  %-30s %12.0f@." name !best;
-    !best
-  in
-  let compile_ns =
-    measure "compile program" (fun () ->
-        List.iter (fun p -> ignore (E.Compiled.compile p)) progs)
-  in
-  let interp_fresh =
-    measure "exec interpreted (fresh)" (fun () ->
-        List.iter (fun p -> ignore (E.Exec.run ~cov kernel p)) progs)
-  in
-  let comp_fresh =
-    measure "exec compiled (fresh)" (fun () ->
-        List.iter (fun c -> ignore (E.Exec.run_compiled ~cov kernel c)) compiled)
-  in
-  (* The exec loop itself: one reboot per corpus pass (amortized to
-     noise) isolates per-call dispatch/resolve/patch cost from the
-     fresh-boot floor both engines share. *)
-  let interp_loop =
-    measure "exec loop interpreted" (fun () ->
-        let k = K.Kernel.reboot kernel in
-        List.iter
-          (fun p -> ignore (E.Exec.run ~fresh_state:false ~cov k p))
-          progs)
-  in
-  let comp_loop =
-    measure "exec loop compiled" (fun () ->
-        let k = K.Kernel.reboot kernel in
-        List.iter
-          (fun c -> ignore (E.Exec.run_compiled ~fresh_state:false ~cov k c))
-          compiled)
-  in
-  (* Execute-many steady state: the probe loop re-running programs it
-     has seen — compiled forms reused from the trie, results resumed
-     from cached prefixes. This is the workload minimization and
-     relation learning put through the executor. *)
-  let probe_cache = E.Exec_cache.create ~version:K.Version.V5_11 () in
-  List.iter (fun p -> ignore (E.Exec_cache.run probe_cache ~cov p)) progs;
-  List.iter (fun p -> ignore (E.Exec_cache.run probe_cache ~cov p)) progs;
-  let warm =
-    measure "exec compiled (execute many)" (fun () ->
-        List.iter (fun p -> ignore (E.Exec_cache.run probe_cache ~cov p)) progs)
-  in
-  let st = E.Exec_cache.stats probe_cache in
-  Fmt.pr "  %-30s %d lowered / %d reused from trie@." "compiled calls"
-    st.E.Exec_cache.compiled_calls st.E.Exec_cache.reused_ccalls;
-  let ratio a b = if b > 0.0 then a /. b else 0.0 in
-  Fmt.pr "  %-30s %11.1fx@." "compile cost vs one fresh run"
-    (ratio compile_ns interp_fresh);
-  Fmt.pr "  %-30s %11.1fx@." "fresh-run speedup" (ratio interp_fresh comp_fresh);
-  Fmt.pr "  %-30s %11.1fx@." "exec-loop speedup" (ratio interp_loop comp_loop);
-  Fmt.pr "  %-30s %11.1fx@." "execute-many speedup" (ratio interp_fresh warm)
 
 (* ---- sharded campaign scaling (fuzzing-as-a-service) ---- *)
 
@@ -1026,10 +863,8 @@ let sections =
   [
     ("fig4", fig4); ("table1", table1); ("table2", table2); ("table3", table3);
     ("fig5", fig5); ("fig6", fig6); ("table4", table4); ("table5", table5);
-    ("ablation", ablation); ("micro", micro); ("cache", cache_smoke);
-    ("lockdep", lockdep_smoke); ("effects", effects_smoke);
-    ("compiled", compiled_smoke); ("shard", shard_smoke);
-    ("wire", wire_micro);
+    ("ablation", ablation); ("micro", micro); ("lockdep", lockdep_smoke);
+    ("effects", effects_smoke); ("shard", shard_smoke); ("wire", wire_micro);
   ]
 
 (* ---- machine-readable results (--json) ---- *)
@@ -1067,21 +902,6 @@ let write_json ~jobs ~section_times () =
   field "%s"
     (obj_list "sections" (List.rev section_times) (fun (name, dt) ->
          Printf.sprintf "{\"name\": %S, \"seconds\": %.3f}" name dt));
-  (match !probe_cache_stats with
-  | Some (s, rate) ->
-    field
-      "\"exec_cache\": {\"hits\": %d, \"full_hits\": %d, \"misses\": %d, \
-       \"hit_rate\": %.3f, \"evictions\": %d, \"flushes\": %d, \
-       \"resumed_calls\": %d, \"executed_calls\": %d, \
-       \"compiled_calls\": %d, \"reused_ccalls\": %d}"
-      s.Healer_executor.Exec_cache.hits s.Healer_executor.Exec_cache.full_hits
-      s.Healer_executor.Exec_cache.misses rate
-      s.Healer_executor.Exec_cache.evictions s.Healer_executor.Exec_cache.flushes
-      s.Healer_executor.Exec_cache.resumed_calls
-      s.Healer_executor.Exec_cache.executed_calls
-      s.Healer_executor.Exec_cache.compiled_calls
-      s.Healer_executor.Exec_cache.reused_ccalls
-  | None -> field "\"exec_cache\": null");
   field "%s"
     (obj_list "shard" (List.rev !shard_results)
        (fun (jobs, dt, execs, cov, corp, edges, crashes) ->

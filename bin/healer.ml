@@ -126,14 +126,6 @@ let run_fuzz tool version hours seed load_rel save_rel load_corp save_corp =
     Fmt.pr "learned relations %d@." (Fuzzer.relation_count f);
     Fmt.pr "alpha             %.2f@." (Fuzzer.alpha_value f)
   end;
-  (match Fuzzer.cache_stats f with
-  | Some s ->
-    let open Healer_executor.Exec_cache in
-    let total = s.hits + s.misses in
-    let rate = if total = 0 then 0.0 else float_of_int s.hits /. float_of_int total in
-    Fmt.pr "probe cache       %d hits / %d misses (%.0f%% hit rate), %d calls resumed, %d evictions@."
-      s.hits s.misses (100.0 *. rate) s.resumed_calls s.evictions
-  | None -> ());
   let records = Triage.records (Fuzzer.triage f) in
   Fmt.pr "unique crashes    %d@." (List.length records);
   List.iter

@@ -13,18 +13,12 @@ type run = {
   crashes : Triage.record list;
   relation_snapshots : (float * (int * int) list) list;
   execs : int;
-  cache_hits : int;
-  cache_misses : int;
-  cache_evictions : int;
-  cache_resumed_calls : int;
 }
 
-let run_one ?(hours = 24.0) ?(seed = 1) ?exec_cache ~tool ~version () =
-  let cfg = Fuzzer.config ~seed ?exec_cache ~tool ~version () in
+let run_one ?(hours = 24.0) ?(seed = 1) ~tool ~version () =
+  let cfg = Fuzzer.config ~seed ~tool ~version () in
   let f = Fuzzer.create cfg in
   Fuzzer.run_until f (hours *. 3600.0);
-  let cs = Fuzzer.cache_stats f in
-  let cache_stat get = match cs with Some s -> get s | None -> 0 in
   {
     tool;
     version;
@@ -38,11 +32,6 @@ let run_one ?(hours = 24.0) ?(seed = 1) ?exec_cache ~tool ~version () =
     crashes = Triage.records (Fuzzer.triage f);
     relation_snapshots = Fuzzer.relation_snapshots f;
     execs = Fuzzer.execs f;
-    cache_hits = cache_stat (fun s -> s.Healer_executor.Exec_cache.hits);
-    cache_misses = cache_stat (fun s -> s.Healer_executor.Exec_cache.misses);
-    cache_evictions = cache_stat (fun s -> s.Healer_executor.Exec_cache.evictions);
-    cache_resumed_calls =
-      cache_stat (fun s -> s.Healer_executor.Exec_cache.resumed_calls);
   }
 
 (* ---- parallel campaign matrix ---- *)

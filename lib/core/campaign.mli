@@ -17,25 +17,16 @@ type run = {
   crashes : Triage.record list;
   relation_snapshots : (float * (int * int) list) list;
   execs : int;
-  cache_hits : int;
-      (** Probe-cache counters (all 0 when the cache is disabled).
-          Wall-clock bookkeeping only: every other field is
-          bit-identical with the cache on or off. *)
-  cache_misses : int;
-  cache_evictions : int;
-  cache_resumed_calls : int;
 }
 
 val run_one :
   ?hours:float ->
   ?seed:int ->
-  ?exec_cache:bool ->
   tool:Fuzzer.tool ->
   version:Healer_kernel.Version.t ->
   unit ->
   run
-(** One campaign (default 24 virtual hours). [exec_cache] forwards to
-    {!Fuzzer.config}. *)
+(** One campaign (default 24 virtual hours). *)
 
 val default_jobs : unit -> int
 (** Worker-domain count for {!run_matrix}: the [HEALER_BENCH_JOBS]

@@ -46,12 +46,12 @@ type config = {
   use_static_learning : bool;
   use_dynamic_learning : bool;
   fixed_alpha : float option;
-  exec_cache : bool option;
+  exec_cache : bool option;  (* perfbench is its only reader *)
 }
 
 let config ?(seed = 1) ?(vms = 2) ?costs ?(gen_ratio = 0.15) ?(fault_rate = 0.01)
     ?(use_static_learning = true) ?(use_dynamic_learning = true) ?fixed_alpha
-    ?exec_cache ~tool ~version () =
+    ~tool ~version () =
   {
     tool;
     version;
@@ -63,7 +63,7 @@ let config ?(seed = 1) ?(vms = 2) ?costs ?(gen_ratio = 0.15) ?(fault_rate = 0.01
     use_static_learning;
     use_dynamic_learning;
     fixed_alpha;
-    exec_cache;
+    exec_cache = None;
   }
 
 (* Executor features per tool (Section 6.3: three bugs need USB
@@ -109,10 +109,8 @@ let rec take_samples t =
     take_samples t
   end
 
-(* The virtual clock always charges full execution cost from the
-   program shape alone — the prefix cache saves simulator wall-clock,
-   never simulated kernel time, so campaign curves are identical with
-   the cache on or off. *)
+(* The virtual clock charges execution cost from the program shape
+   alone. *)
 let charge t prog r =
   let dt =
     t.costs.exec_overhead
@@ -127,17 +125,13 @@ let charge t prog r =
 let exec_prog t ?fault_call prog = charge t prog (Pool.run t.pool ?fault_call prog)
 let exec_plain t prog = exec_prog t prog
 
-(* Probe executions (minimization, dynamic learning, triage
-   reproducers) go through the pool's prefix cache. *)
-let exec_probe t prog = charge t prog (Pool.run_probe t.pool prog)
-
 let create ?initial_relations ?(initial_seeds = []) cfg =
   let tgt = Kernel.target () in
   let rng = Rng.create cfg.seed in
   let clock = Vclock.create () in
   let pool =
-    Pool.create ~features:(features_of cfg.tool) ?exec_cache:cfg.exec_cache
-      ~version:cfg.version ~size:cfg.vms ()
+    Pool.create ~features:(features_of cfg.tool) ~version:cfg.version
+      ~size:cfg.vms ()
   in
   let costs = match cfg.costs with Some c -> c | None -> default_costs cfg.tool in
   let rel =
@@ -181,7 +175,7 @@ let create ?initial_relations ?(initial_seeds = []) cfg =
       mutation_gain = 0.5;
     }
   in
-  t.tri <- Triage.create ~exec:(exec_probe t);
+  t.tri <- Triage.create ~exec:(exec_plain t);
   (match (t.rel, initial_relations) with
   | Some table, Some saved -> ignore (Relation_table.merge_into ~dst:table saved)
   | _ -> ());
@@ -276,10 +270,10 @@ let step t =
       let interesting = Feedback.is_interesting new_cov in
       if interesting then begin
         let pc = Prog_cov.of_run prog r ~new_cov in
-        let minimized = Minimize.minimize ~target:t.tgt ~exec:(exec_probe t) pc in
+        let minimized = Minimize.minimize ~target:t.tgt ~exec:(exec_plain t) pc in
         (match (t.cfg.tool, t.rel) with
         | Healer, Some table when t.cfg.use_dynamic_learning ->
-          ignore (Dynamic_learning.learn ~exec:(exec_probe t) ~table minimized)
+          ignore (Dynamic_learning.learn ~exec:(exec_plain t) ~table minimized)
         | _ -> ());
         let total_new = Array.fold_left (fun a l -> a + List.length l) 0 new_cov in
         List.iter
@@ -318,7 +312,6 @@ let relations t = t.rel
 let relation_count t =
   match t.rel with Some r -> Relation_table.count r | None -> 0
 
-let cache_stats t = Pool.cache_stats t.pool
 let alpha_value t = Alpha.value t.alpha
 let samples t = List.rev t.sample_acc
 let relation_snapshots t = List.rev t.snapshots

@@ -42,10 +42,7 @@ type config = {
   use_static_learning : bool;  (** Ablation hook (HEALER only). *)
   use_dynamic_learning : bool;  (** Ablation hook (HEALER only). *)
   fixed_alpha : float option;  (** Ablation hook: disable adaptation. *)
-  exec_cache : bool option;
-      (** Force the probe prefix-execution cache on/off; [None] follows
-          [HEALER_EXEC_CACHE]. Results are bit-identical either way —
-          the cache only changes simulator wall-clock. *)
+  exec_cache : bool option;  (** Always [None]; perfbench is its only reader. *)
 }
 
 val config :
@@ -57,7 +54,6 @@ val config :
   ?use_static_learning:bool ->
   ?use_dynamic_learning:bool ->
   ?fixed_alpha:float ->
-  ?exec_cache:bool ->
   tool:tool ->
   version:Healer_kernel.Version.t ->
   unit ->
@@ -98,9 +94,6 @@ val corpus : t -> Corpus.t
 val triage : t -> Triage.t
 val relations : t -> Relation_table.t option
 val relation_count : t -> int
-val cache_stats : t -> Healer_executor.Exec_cache.stats option
-(** Live hit/miss/eviction/resume-depth counters of the probe
-    execution cache; [None] when the cache is disabled. *)
 
 val alpha_value : t -> float
 val samples : t -> (float * int) list

@@ -40,22 +40,21 @@ let rec resolve results (v : Value.t) : K.Arg.t =
     | K.Arg.Str _ as s -> s
     | K.Arg.Buf _ as b -> b
     | K.Arg.Int _ as x -> K.Arg.Rec [ x ]
-    (* The interpreter never materializes patch slots; the case exists
-       only because [Arg.t] carries them for the compiled engine. *)
-    | K.Arg.Slot _ as s -> K.Arg.Rec [ s ]
     | K.Arg.Nothing -> K.Arg.Nothing)
   | Value.Null -> K.Arg.Nothing
   | Value.Vma a -> K.Arg.Int a
 
-(* Shared execution core: runs calls [start..] of [p] against [kernel]
-   in place, filling [results]/[out]. [on_call] fires after each call
-   that completes without crashing or being fault-killed — the
-   execution cache uses it to snapshot prefix states mid-run. *)
-let exec_calls ?fault_call ?on_call kernel (p : Prog.t) results out cov start =
+let run ?fault_call ?(fresh_state = true) ?cov kernel (p : Prog.t) =
+  let kernel = if fresh_state then K.Kernel.reboot kernel else kernel in
   let n = Prog.length p in
+  let results = Array.make n None in
+  let out = Array.make n skipped in
+  (* Callers on the hot path (the VM pool) pass a long-lived collector
+     so steady-state execution allocates no per-run dedup state. *)
+  let cov = match cov with Some c -> c | None -> K.Coverage.create () in
   let crash = ref None in
   let stop = ref false in
-  let i = ref start in
+  let i = ref 0 in
   while (not !stop) && !i < n do
     let idx = !i in
     let c = Prog.call p idx in
@@ -114,202 +113,9 @@ let exec_calls ?fault_call ?on_call kernel (p : Prog.t) results out cov start =
              });
       stop := true
     end;
-    if not !stop then
-      (match on_call with Some f -> f idx out.(idx) kernel | None -> ());
     incr i
   done;
-  !crash
-
-let run ?fault_call ?(fresh_state = true) ?cov kernel (p : Prog.t) =
-  let kernel = if fresh_state then K.Kernel.reboot kernel else kernel in
-  let n = Prog.length p in
-  let results = Array.make n None in
-  let out = Array.make n skipped in
-  (* Callers on the hot path (the VM pool) pass a long-lived collector
-     so steady-state execution allocates no per-run dedup state. *)
-  let cov = match cov with Some c -> c | None -> K.Coverage.create () in
-  let crash = exec_calls ?fault_call kernel p results out cov 0 in
-  (kernel, { calls = out; crash })
-
-let run_from ?cov ?on_call ~prefix kernel (p : Prog.t) =
-  let n = Prog.length p in
-  let k = Array.length prefix in
-  if k > n then invalid_arg "Exec.run_from: prefix longer than program";
-  let results = Array.make n None in
-  let out = Array.make n skipped in
-  for i = 0 to k - 1 do
-    out.(i) <- prefix.(i);
-    results.(i) <- Some prefix.(i)
-  done;
-  let cov = match cov with Some c -> c | None -> K.Coverage.create () in
-  let crash = exec_calls ?on_call kernel p results out cov k in
-  (kernel, { calls = out; crash })
-
-(* ---- compiled execution ---- *)
-
-let compiled_env () =
-  match Sys.getenv_opt "HEALER_COMPILED" with
-  | None -> true
-  | Some v -> (
-    match String.lowercase_ascii (String.trim v) with
-    | "" | "0" | "false" | "no" | "off" -> false
-    | _ -> true)
-
-let compiled = ref (compiled_env ())
-let compiled_enabled () = !compiled
-let set_compiled b = compiled := b
-
-(* The resource value a call's result contributes: the interpreter
-   encodes this in [resolve]'s match on [results]; the compiled path
-   precomputes it into [Compiled.set_resval]. *)
-let resval_of (cr : call_result) =
-  if cr.executed && cr.errno = None then cr.retval else -1L
-
-(* The compiled twin of [exec_calls]: same control flow call for call
-   (crash abort, fault-injection coredump, [on_call] firing), but
-   dispatch is pre-resolved, the argument skeleton is patched in place
-   instead of rebuilt, and one recycled context serves the whole
-   run. *)
-let exec_ccalls ?fault_call ?on_call kernel (c : Compiled.t) out cov start =
-  let n = Compiled.length c in
-  let ctx = K.Kernel.make_ctx kernel cov in
-  let crash = ref None in
-  let stop = ref false in
-  let i = ref start in
-  while (not !stop) && !i < n do
-    let idx = !i in
-    let cc = Compiled.call c idx in
-    Compiled.patch c idx;
-    let fault = fault_call = Some idx in
-    K.Coverage.reset cov;
-    (try
-       let r = K.Kernel.exec_prepared kernel ~ctx ~fault cc.Compiled.prep cc.Compiled.args in
-       let cr =
-         {
-           retval = r.K.Ctx.ret;
-           errno = r.K.Ctx.err;
-           cov = K.Coverage.blocks cov;
-           executed = true;
-         }
-       in
-       out.(idx) <- cr;
-       Compiled.set_resval c idx (resval_of cr)
-     with K.Crash.Crash { bug_key; risk } ->
-       let call_name = cc.Compiled.syscall.Healer_syzlang.Syscall.name in
-       out.(idx) <-
-         {
-           retval = -1L;
-           errno = None;
-           cov = K.Coverage.blocks cov;
-           executed = true;
-         };
-       crash :=
-         Some
-           {
-             K.Crash.bug_key;
-             risk;
-             call_index = idx;
-             call_name;
-             log = K.Crash.render_log ~bug_key ~risk ~call_name;
-           };
-       stop := true);
-    if (not !stop) && fault then begin
-      K.Coverage.reset cov;
-      (try
-         K.Kernel.coredump kernel ~cov;
-         let prev = out.(idx) in
-         out.(idx) <- { prev with cov = prev.cov @ K.Coverage.blocks cov }
-       with K.Crash.Crash { bug_key; risk } ->
-         crash :=
-           Some
-             {
-               K.Crash.bug_key;
-               risk;
-               call_index = idx;
-               call_name = "coredump";
-               log = K.Crash.render_log ~bug_key ~risk ~call_name:"coredump";
-             });
-      stop := true
-    end;
-    if not !stop then
-      (match on_call with Some f -> f idx out.(idx) kernel | None -> ());
-    incr i
-  done;
-  !crash
-
-(* Differential oracle, armed by HEALER_DEBUG_VALIDATE: replay the
-   program interpreted on a shadow kernel carrying the same pre-run
-   state and require bit-identical results plus identical lock-pair
-   coverage counters. The interpreter is the semantics of record; any
-   divergence is a compiler bug and fails loudly. *)
-let oracle_check ?fault_call ~what ~prefix shadow kernel_after (c : Compiled.t)
-    (r : run_result) =
-  let p = Compiled.prog c in
-  let _, ri =
-    match prefix with
-    | None ->
-      let n = Prog.length p in
-      let results = Array.make n None in
-      let out = Array.make n skipped in
-      let cov = K.Coverage.create () in
-      let crash = exec_calls ?fault_call shadow p results out cov 0 in
-      (shadow, { calls = out; crash })
-    | Some prefix -> run_from ~prefix shadow p
-  in
-  if r <> ri then
-    failwith
-      (Fmt.str
-         "HEALER_DEBUG_VALIDATE: %s diverged from the interpreter on:@.%s" what
-         (Prog.to_string p));
-  if
-    K.Kernel.lock_pair_counts kernel_after <> K.Kernel.lock_pair_counts shadow
-  then
-    failwith
-      (Fmt.str
-         "HEALER_DEBUG_VALIDATE: %s left different lock-pair counters than \
-          the interpreter on:@.%s"
-         what (Prog.to_string p))
-
-let run_compiled ?fault_call ?(fresh_state = true) ?cov kernel (c : Compiled.t)
-    =
-  let kernel = if fresh_state then K.Kernel.reboot kernel else kernel in
-  let shadow =
-    if Progcheck.debug_enabled () then
-      Some (if fresh_state then K.Kernel.reboot kernel else K.Kernel.copy kernel)
-    else None
-  in
-  let n = Compiled.length c in
-  let out = Array.make n skipped in
-  let cov = match cov with Some c -> c | None -> K.Coverage.create () in
-  Compiled.reset_resvals c;
-  let crash = exec_ccalls ?fault_call kernel c out cov 0 in
-  let r = { calls = out; crash } in
-  (match shadow with
-  | Some sk -> oracle_check ?fault_call ~what:"run_compiled" ~prefix:None sk kernel c r
-  | None -> ());
-  (kernel, r)
-
-let run_from_compiled ?cov ?on_call ~prefix kernel (c : Compiled.t) =
-  let n = Compiled.length c in
-  let k = Array.length prefix in
-  if k > n then invalid_arg "Exec.run_from_compiled: prefix longer than program";
-  let shadow =
-    if Progcheck.debug_enabled () then Some (K.Kernel.copy kernel) else None
-  in
-  let out = Array.make n skipped in
-  Compiled.reset_resvals c;
-  for i = 0 to k - 1 do
-    out.(i) <- prefix.(i);
-    Compiled.set_resval c i (resval_of prefix.(i))
-  done;
-  let cov = match cov with Some c -> c | None -> K.Coverage.create () in
-  let crash = exec_ccalls ?on_call kernel c out cov k in
-  let r = { calls = out; crash } in
-  (match shadow with
-  | Some sk ->
-    oracle_check ~what:"run_from_compiled" ~prefix:(Some prefix) sk kernel c r
-  | None -> ());
-  (kernel, r)
+  (kernel, { calls = out; crash = !crash })
 
 (* Sorted, duplicate-free array form of a coverage trace. Minimization
    and dynamic learning compare one reference trace against many probe

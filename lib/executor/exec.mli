@@ -35,61 +35,6 @@ val run :
     per run; a fresh one is created when absent. Returns the
     (possibly re-booted) kernel and the result. *)
 
-val run_from :
-  ?cov:Healer_kernel.Coverage.t ->
-  ?on_call:(int -> call_result -> Healer_kernel.Kernel.t -> unit) ->
-  prefix:call_result array ->
-  Healer_kernel.Kernel.t ->
-  Prog.t ->
-  Healer_kernel.Kernel.t * run_result
-(** [run_from ~prefix kernel prog] resumes execution at call
-    [Array.length prefix]: [kernel] must be the state left by running
-    exactly those prefix calls of [prog] from a fresh boot (the
-    execution cache restores it from a snapshot), and [prefix] supplies
-    their results so later [Res_ref] arguments resolve identically to a
-    full {!run}. Because execution is deterministic, the returned
-    result is bit-identical to [run kernel prog] — the qcheck suite
-    enforces this. [on_call i r k] fires after each live (resumed)
-    call that completes without crashing, with the kernel state at
-    that point; never for fault-injected runs (which do not resume).
-    The kernel is mutated in place and returned. *)
-
-(** {2 Compiled execution}
-
-    The compiled engine runs a {!Compiled.t} — the program lowered
-    once, see {!Compiled} — through the same control flow as {!run}
-    with zero per-call argument allocation. Results are bit-identical
-    to the interpreter's; under [HEALER_DEBUG_VALIDATE]
-    ({!Progcheck.set_debug}) every compiled run is also executed
-    interpreted on a shadow kernel and compared (results and lock-pair
-    counters), keeping the interpreter as the differential oracle. *)
-
-val compiled_enabled : unit -> bool
-(** Engine selector consulted by {!Vm.run} and {!Exec_cache.run}:
-    defaults to on, [HEALER_COMPILED=0] (or [false]/[no]/[off]) forces
-    the interpreter. *)
-
-val set_compiled : bool -> unit
-(** Override the engine selector in-process (tests compare engines). *)
-
-val run_compiled :
-  ?fault_call:int ->
-  ?fresh_state:bool ->
-  ?cov:Healer_kernel.Coverage.t ->
-  Healer_kernel.Kernel.t ->
-  Compiled.t ->
-  Healer_kernel.Kernel.t * run_result
-(** {!run} over a compiled program. *)
-
-val run_from_compiled :
-  ?cov:Healer_kernel.Coverage.t ->
-  ?on_call:(int -> call_result -> Healer_kernel.Kernel.t -> unit) ->
-  prefix:call_result array ->
-  Healer_kernel.Kernel.t ->
-  Compiled.t ->
-  Healer_kernel.Kernel.t * run_result
-(** {!run_from} over a compiled program. *)
-
 val cov_equal : int list -> int list -> bool
 (** Set equality of two per-call coverage traces (order-insensitive),
     the comparison both Algorithm 1 and Algorithm 2 perform. *)

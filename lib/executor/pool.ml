@@ -1,19 +1,15 @@
 type t = {
   vms : Vm.t array;
   mutable cursor : int;
-  cache : Exec_cache.t option;  (* shared: every VM boots identically *)
 }
 
-let create ?san ?features ?exec_cache ~version ~size () =
+type cache_stats = { hits : int; misses : int }  (* perfbench is its only reader *)
+
+(* [exec_cache] is ignored; perfbench is its only reader. *)
+let create ?san ?features ?exec_cache:_ ~version ~size () =
   if size <= 0 then invalid_arg "Pool.create: size must be positive";
   let vms = Array.init size (fun id -> Vm.create ?san ?features ~version ~id ()) in
-  let enabled =
-    match exec_cache with Some b -> b | None -> Exec_cache.enabled_from_env ()
-  in
-  let cache =
-    if enabled then Some (Exec_cache.create ?san ?features ~version ()) else None
-  in
-  { vms; cursor = 0; cache }
+  { vms; cursor = 0 }
 
 let size p = Array.length p.vms
 
@@ -23,9 +19,9 @@ let next p =
   vm
 
 let run p ?fault_call prog = Vm.run (next p) ?fault_call prog
-let run_probe p prog = Vm.run_probe (next p) ?cache:p.cache prog
-let cache_stats p = Option.map Exec_cache.stats p.cache
-let cache p = p.cache
+
+let run_probe p prog = run p prog  (* perfbench is its only reader *)
+let cache_stats _ = None  (* perfbench is its only reader *)
 
 let fold f init p = Array.fold_left f init p.vms
 

@@ -2,10 +2,7 @@
 
     The paper's experiments give each fuzzer several QEMU instances;
     the pool abstracts picking the next available one and aggregating
-    their statistics. The pool also owns the (optional) prefix
-    execution cache shared by probe runs: all its VMs boot the same
-    config, so one cache serves them all regardless of round-robin
-    order. *)
+    their statistics. *)
 
 type t
 
@@ -17,27 +14,22 @@ val create :
   size:int ->
   unit ->
   t
-(** [exec_cache] defaults to {!Exec_cache.enabled_from_env} (the
-    [HEALER_EXEC_CACHE] toggle). *)
+(** [exec_cache] is ignored; perfbench is its only reader. *)
 
 val size : t -> int
 val next : t -> Vm.t
 (** Round-robin choice. *)
 
 val run : t -> ?fault_call:int -> Prog.t -> Exec.run_result
-(** Run on the next VM — the main fuzzing loop and fault-injection
-    path; never touches the cache. *)
+(** Run on the next VM. *)
 
 val run_probe : t -> Prog.t -> Exec.run_result
-(** Run on the next VM through the shared prefix cache (when enabled).
-    Bit-identical results to {!run} without [fault_call]; used by
-    minimization, dynamic relation learning and triage reproducer
-    probes. *)
+(** [run_probe p prog] is [run p prog]; perfbench is its only reader. *)
 
-val cache_stats : t -> Exec_cache.stats option
-(** Live counters of the shared cache; [None] when disabled. *)
+type cache_stats = { hits : int; misses : int }
 
-val cache : t -> Exec_cache.t option
+val cache_stats : t -> cache_stats option
+(** Always [None]; perfbench is its only reader. *)
 
 val total_execs : t -> int
 val total_crashes : t -> int

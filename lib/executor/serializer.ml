@@ -6,8 +6,7 @@ let fail msg = raise (Malformed msg)
 let magic = "HLR1"
 
 (* Unboxed fast path: LEB128 of a non-negative native int. The boxed
-   Int64 loop below costs several allocations per byte, and encoding
-   sits on the probe-cache hot path (one key per call per probe). *)
+   Int64 loop below costs several allocations per byte. *)
 let put_uint buf i =
   let x = ref i in
   let continue = ref true in
@@ -138,11 +137,6 @@ let put_call buf (c : Prog.call) =
   put_uint buf c.Prog.syscall.Healer_syzlang.Syscall.id;
   put_uint buf (List.length c.Prog.args);
   List.iter (put_value buf) c.Prog.args
-
-let encode_call (c : Prog.call) =
-  let buf = Buffer.create 32 in
-  put_call buf c;
-  Buffer.contents buf
 
 let encode (p : Prog.t) =
   let buf = Buffer.create 256 in

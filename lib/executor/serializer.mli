@@ -9,16 +9,6 @@ exception Malformed of string
 
 val encode : Prog.t -> string
 
-val encode_call : Prog.call -> string
-(** Wire encoding of a single call (the per-call slice of {!encode},
-    without the program header). The execution cache keys its prefix
-    trie on these strings, so two calls compare equal exactly when
-    their serialized forms do. *)
-
-val put_call : Buffer.t -> Prog.call -> unit
-(** [encode_call] into a caller-provided buffer (not cleared first) —
-    lets the execution cache reuse one scratch buffer per probe. *)
-
 val decode : Healer_syzlang.Target.t -> string -> Prog.t
 (** Raises {!Malformed} on truncated or corrupt input, or when a
     syscall id does not exist in [target]. When

@@ -32,11 +32,5 @@ val run : t -> ?fault_call:int -> Prog.t -> Exec.run_result
 (** Execute a program. Automatically {!reset}s first when the previous
     run crashed. *)
 
-val run_probe : t -> ?cache:Exec_cache.t -> Prog.t -> Exec.run_result
-(** Like {!run} without fault injection, but served through the
-    prefix-execution cache when one is given (identical results —
-    execution is deterministic — and identical stats bookkeeping).
-    Falls back to {!run} when [cache] is absent. *)
-
 val stats : t -> stats
 val version : t -> Healer_kernel.Version.t

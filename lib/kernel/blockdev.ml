@@ -238,13 +238,8 @@ ioctl$BLKPG_DEL(fd fd_loop, cmd const[0x126a], part ptr[in, blkpg_part])
 ioctl$BLKRRPART(fd fd_loop, cmd const[0x125f])
 |}
 
-let copy_kind : State.fd_kind -> State.fd_kind option = function
-  | Nbd n -> Some (Nbd { n with sock = n.sock })
-  | Loop l -> Some (Loop { l with backing = l.backing })
-  | _ -> None
-
 let sub =
-  Subsystem.make ~name:"blockdev" ~descriptions ~copy_kind
+  Subsystem.make ~name:"blockdev" ~descriptions
     ~handlers:
       [
         ("openat$nbd", h_open_nbd);

@@ -234,13 +234,8 @@ bpf$PROG_DETACH(cmd const[9], prog fd_bpf_prog)
 bpf$PROG_TEST_RUN(cmd const[10], prog fd_bpf_prog, data buffer[in], dsize len[data])
 |}
 
-let copy_kind : State.fd_kind -> State.fd_kind option = function
-  | Bpf_map m -> Some (Bpf_map { m with entries = m.entries })
-  | Bpf_prog p -> Some (Bpf_prog { p with test_runs = p.test_runs })
-  | _ -> None
-
 let sub =
-  Subsystem.make ~name:"bpf" ~descriptions ~copy_kind
+  Subsystem.make ~name:"bpf" ~descriptions
     ~handlers:
       [
         ("bpf$MAP_CREATE", h_map_create);

@@ -23,15 +23,6 @@ let make ?(features = []) ?(proc = 0) ~st ~san cov =
     lock_trace = [];
   }
 
-(* Reset the per-call mutable fields so one context can serve every
-   call of a run — the compiled executor's steady-state path, which
-   must not allocate a context per call. Equivalent to a fresh [make]
-   with the same immutable fields. *)
-let recycle ctx =
-  ctx.fault_pending <- false;
-  ctx.lock_held <- [];
-  ctx.lock_trace <- []
-
 let ok ret = { ret; err = None }
 let ok0 = { ret = 0L; err = None }
 let err e = { ret = Int64.of_int (-Errno.code e); err = Some e }

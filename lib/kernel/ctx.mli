@@ -31,12 +31,6 @@ val make :
   Coverage.t ->
   t
 
-val recycle : t -> unit
-(** Reset the per-call mutable fields ([fault_pending], lock state) so
-    one context can be reused across every call of a run — the
-    compiled executor's zero-allocation path. Equivalent to a fresh
-    {!make} with the same state/coverage/config. *)
-
 val ok : int64 -> result
 (** Success with a return value (fd, byte count...). *)
 

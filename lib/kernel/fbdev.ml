@@ -221,12 +221,8 @@ ioctl$KDFONTOP_GET(fd fd_fb, cmd const[0x4b72], op ptr[out, console_font_op])
 ioctl$FBIO_CURSOR(fd fd_fb, cmd const[0x4608], cursor ptr[in, fb_cursor])
 |}
 
-let copy_kind : State.fd_kind -> State.fd_kind option = function
-  | Fb f -> Some (Fb { f with xres = f.xres })
-  | _ -> None
-
 let sub =
-  Subsystem.make ~name:"fbdev" ~descriptions ~copy_kind
+  Subsystem.make ~name:"fbdev" ~descriptions
     ~handlers:
       [
         ("openat$fb0", h_open);

@@ -120,21 +120,8 @@ inotify_add_watch(fd fd_inotify, path filename["/tmp/f0", "/tmp/f1", "/tmp/data"
 inotify_rm_watch(fd fd_inotify, wd inotify_wd)
 |}
 
-let copy_kind : State.fd_kind -> State.fd_kind option = function
-  | Inotify i ->
-    Some
-      (Inotify
-         {
-           (* watch records carry mutable snapshot fields, so the list
-              elements themselves must be cloned. *)
-           watches =
-             List.map (fun (w : watch) -> { w with snap_size = w.snap_size }) i.watches;
-           next_wd = i.next_wd;
-         })
-  | _ -> None
-
 let sub =
-  Subsystem.make ~name:"inotify" ~descriptions ~copy_kind
+  Subsystem.make ~name:"inotify" ~descriptions
     ~handlers:
       [
         ("inotify_init", h_init);

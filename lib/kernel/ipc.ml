@@ -392,33 +392,11 @@ msgctl$IPC_RMID(id msg_id, cmd const[0])
 let applies_event = function Eventfd _ -> true | _ -> false
 let applies_timer = function Timerfd _ -> true | _ -> false
 
-let copy_kind : State.fd_kind -> State.fd_kind option = function
-  | Eventfd e -> Some (Eventfd { counter = e.counter })
-  | Timerfd t -> Some (Timerfd { t with armed = t.armed })
-  | _ -> None
-
-let copy_global : State.global -> State.global option = function
-  | Ipc t ->
-    Some
-      (Ipc
-         {
-           shms =
-             State.copy_tbl (fun (s : shm) -> { s with attached = s.attached }) t.shms;
-           sems =
-             State.copy_tbl
-               (fun (s : sem) ->
-                 { values = Array.copy s.values; sem_destroyed = s.sem_destroyed })
-               t.sems;
-           msgs =
-             State.copy_tbl (fun (m : msgq) -> { m with depth = m.depth }) t.msgs;
-         })
-  | _ -> None
-
 let sub =
   let l = Subsystem.locked [ ipc_ids ] in
   let w = Lock.scoped [ "ipc_ids" ] ~touches:[ "ipc" ] in
   let wt = Lock.scoped [ "ipc_ids" ] ~touches:[ "fd:timerfd" ] in
-  Subsystem.make ~name:"ipc" ~descriptions ~init ~copy_kind ~copy_global
+  Subsystem.make ~name:"ipc" ~descriptions ~init
     ~handlers:
       [
         ("eventfd", h_eventfd);

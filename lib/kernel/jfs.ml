@@ -151,16 +151,8 @@ fsync$ext4(fd fd_ext4)
 ioctl$EXT4_IOC_FC_COMMIT(fd fd_ext4, cmd const[0x6615])
 |}
 
-let copy_kind : State.fd_kind -> State.fd_kind option = function
-  | Ext4 f -> Some (Ext4 { f with written = f.written })
-  | _ -> None
-
-let copy_global : State.global -> State.global option = function
-  | Journal j -> Some (Journal { j with dirty_handles = j.dirty_handles })
-  | _ -> None
-
 let sub =
-  Subsystem.make ~name:"jfs" ~descriptions ~init ~copy_kind ~copy_global
+  Subsystem.make ~name:"jfs" ~descriptions ~init
     ~handlers:
       [
         ("open$ext4", h_open_ext4);

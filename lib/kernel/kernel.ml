@@ -110,72 +110,6 @@ let boot ?(san = Sanitizer.default) ?(features = []) ~version () =
 
 let reboot k = boot ~san:k.san ~features:k.features ~version:(State.version k.st) ()
 
-(* Copier dispatch memos. Walking all ~20 subsystems per fd kind and
-   per global made [copy] dispatch-bound (the prefix cache copies
-   snapshots on every resumed probe). The owning subsystem of an fd
-   kind is a function of its extension constructor, and of a global a
-   function of its name, so both resolve once and memoize. The tables
-   are process-global and kernels are copied from parallel campaign
-   domains — a mutex serializes access (the copy itself is far more
-   expensive than an uncontended lock). *)
-let copier_mutex = Mutex.create ()
-let kind_copier : (Obj.Extension_constructor.t, Subsystem.t) Hashtbl.t =
-  Hashtbl.create 32
-let global_copier : (string, Subsystem.t) Hashtbl.t = Hashtbl.create 32
-
-let copy_fd_kind k =
-  match k with
-  | State.Dead -> State.Dead
-  | _ -> (
-    let ec = Obj.Extension_constructor.of_val k in
-    Mutex.lock copier_mutex;
-    let owner = Hashtbl.find_opt kind_copier ec in
-    Mutex.unlock copier_mutex;
-    match owner with
-    | Some s -> (
-      match s.Subsystem.copy_kind k with
-      | Some k' -> k'
-      | None -> invalid_arg "Kernel.copy: fd kind copier became partial")
-    | None ->
-      let rec go = function
-        | [] -> invalid_arg "Kernel.copy: fd kind with no subsystem copier"
-        | (s : Subsystem.t) :: rest -> (
-          match s.Subsystem.copy_kind k with
-          | Some k' ->
-            Mutex.lock copier_mutex;
-            Hashtbl.replace kind_copier ec s;
-            Mutex.unlock copier_mutex;
-            k'
-          | None -> go rest)
-      in
-      go (subsystems ()))
-
-let copy_global name g =
-  Mutex.lock copier_mutex;
-  let owner = Hashtbl.find_opt global_copier name in
-  Mutex.unlock copier_mutex;
-  match owner with
-  | Some s -> (
-    match s.Subsystem.copy_global g with
-    | Some g' -> g'
-    | None -> invalid_arg ("Kernel.copy: global copier became partial: " ^ name))
-  | None ->
-    let rec go = function
-      | [] -> invalid_arg ("Kernel.copy: no subsystem copier for global " ^ name)
-      | (s : Subsystem.t) :: rest -> (
-        match s.Subsystem.copy_global g with
-        | Some g' ->
-          Mutex.lock copier_mutex;
-          Hashtbl.replace global_copier name s;
-          Mutex.unlock copier_mutex;
-          g'
-        | None -> go rest)
-    in
-    go (subsystems ())
-
-let copy k =
-  { k with st = State.copy ~copy_kind:copy_fd_kind ~copy_global k.st }
-
 (* The assembled lock model: every registered class (subsystem modules
    register theirs at module-init time, which [subsystems ()] forces)
    plus every subsystem's declared handler specs. *)
@@ -331,58 +265,6 @@ let exec_call k ?(fault = false) ~cov (call : Syscall.t) args =
       check_effect_trace k.st
         ~sub:(subsystem_of call.Syscall.name)
         ~handler:call.Syscall.name;
-    if Ctx.take_fault ctx then begin
-      Coverage.hit cov (blk + 2);
-      Ctx.err Errno.ENOMEM
-    end
-    else r
-
-(* ---- prepared (compiled) execution ---- *)
-
-(* A call with its dispatch pre-resolved: the compiled executor looks
-   the handler and owning subsystem up once per program instead of
-   hashing the syscall name on every execution. Must stay in lockstep
-   with [exec_call] — the HEALER_DEBUG_VALIDATE differential oracle in
-   the executor compares the two paths call-for-call. *)
-type prepared = {
-  p_name : string;
-  p_sub : string;  (* owning subsystem, for the lockdep validator *)
-  p_handler : Subsystem.handler option;  (* None -> ENOSYS *)
-}
-
-let prepare (call : Syscall.t) =
-  let name = call.Syscall.name in
-  {
-    p_name = name;
-    p_sub = subsystem_of name;
-    p_handler = Hashtbl.find_opt (Lazy.force handler_table) name;
-  }
-
-let make_ctx k cov = Ctx.make ~features:k.features ~st:k.st ~san:k.san cov
-
-let exec_prepared k ~ctx ?(fault = false) prep args =
-  Ctx.recycle ctx;
-  ctx.Ctx.fault_pending <- fault;
-  let cov = ctx.Ctx.cov in
-  State.reset_effect_trace k.st;
-  ignore (State.tick k.st);
-  Coverage.hit cov (blk + 0);
-  match prep.p_handler with
-  | None ->
-    Coverage.hit cov (blk + 1);
-    Ctx.err Errno.ENOSYS
-  | Some h ->
-    let r = h ctx args in
-    if Lock.validate_enabled () then begin
-      match
-        Lock.check_trace (lock_model ()) ~subsystem:prep.p_sub
-          ~handler:prep.p_name (Ctx.lock_trace ctx)
-      with
-      | [] -> ()
-      | f :: _ -> raise (Lock.Violation f)
-    end;
-    if Effect.validate_enabled () then
-      check_effect_trace k.st ~sub:prep.p_sub ~handler:prep.p_name;
     if Ctx.take_fault ctx then begin
       Coverage.hit cov (blk + 2);
       Ctx.err Errno.ENOMEM

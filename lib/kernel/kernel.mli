@@ -50,14 +50,6 @@ val boot :
 val reboot : t -> t
 (** Fresh state with the same version, sanitizer config and features. *)
 
-val copy : t -> t
-(** Snapshot: deep-copy the kernel's mutable state via each
-    subsystem's registered copy hooks, so execution can resume from
-    the copy while the original stays pristine (the prefix-caching
-    executor's primitive). Fails loudly on an fd kind or global slot
-    whose subsystem registered no copier — a gap the snapshot tests
-    catch. *)
-
 val version : t -> Version.t
 val state : t -> State.t
 val sanitizers : t -> Sanitizer.config
@@ -110,36 +102,6 @@ val exec_call :
     Likewise under {!Effect.validate_enabled} the observed state-slot
     access trace must be covered by the handler's declared
     {!Effect.spec}; drift raises {!Effect.Violation}. *)
-
-(** {2 Prepared (compiled) execution}
-
-    The compiled executor resolves each call's dispatch once per
-    program: {!prepare} performs the handler-table and subsystem
-    lookups that {!exec_call} would repeat per execution, and
-    {!exec_prepared} runs a prepared call through a recycled
-    {!Ctx.t} with no per-call allocation. The two entry points must
-    behave identically — the executor's HEALER_DEBUG_VALIDATE
-    differential oracle compares them run-for-run. *)
-
-type prepared
-(** A syscall with its handler and owning subsystem pre-resolved.
-    Valid across kernels (dispatch tables are process-global and
-    immutable after {!force_init}). *)
-
-val prepare : Healer_syzlang.Syscall.t -> prepared
-
-val make_ctx : t -> Coverage.t -> Ctx.t
-(** A handler context bound to this kernel's state and the given
-    collector; recycled across every call of a compiled run. *)
-
-val exec_prepared :
-  t -> ctx:Ctx.t -> ?fault:bool -> prepared -> Arg.t list -> Ctx.result
-(** Execute one prepared call. [ctx] must come from {!make_ctx} on
-    this kernel (it is {!Ctx.recycle}d first; coverage lands in its
-    collector, which the caller resets between calls). Semantics are
-    exactly {!exec_call}'s: may raise {!Crash.Crash}, unknown names
-    return [ENOSYS], lock traces are validated under
-    {!Lock.validate_enabled}. *)
 
 val coredump : t -> cov:Coverage.t -> unit
 (** Run the core-dump path, entered after a fault-injected call kills

@@ -491,14 +491,8 @@ ioctl$KVM_SET_TSS_ADDR(fd fd_kvm_vm, cmd const[0xae47], addr intptr)
 ioctl$KVM_GET_DIRTY_LOG(fd fd_kvm_vm, cmd const[0x4010ae42], log ptr[inout, kvm_dirty_log_sim])
 |}
 
-let copy_kind : State.fd_kind -> State.fd_kind option = function
-  | Kvm_sys -> Some Kvm_sys
-  | Kvm_vm v -> Some (Kvm_vm { v with vcpus = v.vcpus })
-  | Kvm_vcpu c -> Some (Kvm_vcpu { c with runs = c.runs })
-  | _ -> None
-
 let sub =
-  Subsystem.make ~name:"kvm" ~descriptions ~copy_kind
+  Subsystem.make ~name:"kvm" ~descriptions
     ~handlers:
       [
         ("openat$kvm", h_open_kvm);

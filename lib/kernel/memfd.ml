@@ -217,12 +217,8 @@ fcntl$ADD_SEALS(fd fd_memfd, cmd const[0x409], seals flags[seal_flags])
 fcntl$GET_SEALS(fd fd_memfd, cmd const[0x40a])
 |}
 
-let copy_kind : State.fd_kind -> State.fd_kind option = function
-  | Memfd m -> Some (Memfd { m with msize = m.msize })
-  | _ -> None
-
 let sub =
-  Subsystem.make ~name:"memfd" ~descriptions ~copy_kind
+  Subsystem.make ~name:"memfd" ~descriptions
     ~handlers:
       [
         ("memfd_create", h_memfd_create);

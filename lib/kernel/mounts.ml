@@ -157,14 +157,10 @@ mount$reiserfs(src filename["/dev/loop0"], dst filename["/mnt/a", "/mnt/b"], opt
 umount(dst filename["/mnt/a", "/mnt/b", "/mnt/ext4"])
 |}
 
-let copy_global : State.global -> State.global option = function
-  | Mounts m -> Some (Mounts { m with mounted = m.mounted })
-  | _ -> None
-
 let sub =
   let l = Subsystem.locked [ namespace_sem ] in
   let w = Lock.scoped [ "namespace_sem" ] ~touches:[ "mounts" ] in
-  Subsystem.make ~name:"mounts" ~descriptions ~init ~copy_global
+  Subsystem.make ~name:"mounts" ~descriptions ~init
     ~handlers:
       [
         ("mount$ext4", l h_mount_ext4);

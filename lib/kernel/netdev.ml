@@ -300,21 +300,11 @@ sendto$packet(fd sock_packet, buf buffer[in], length len[buf], sflags const[0], 
 recvfrom$packet(fd sock_packet, buf buffer[out], length len[buf])
 |}
 
-let copy_kind : State.fd_kind -> State.fd_kind option = function
-  | Packet_sock -> Some Packet_sock
-  | _ -> None
-
-let copy_global : State.global -> State.global option = function
-  | Netdevs tbl ->
-    Some
-      (Netdevs (State.copy_tbl (fun (d : netdev) -> { d with up = d.up }) tbl))
-  | _ -> None
-
 let sub =
   let l = Subsystem.locked [ rtnl ] in
   let w = Lock.scoped [ "rtnl" ] ~touches:[ "netdevs" ] in
   let r = Lock.scoped [ "rtnl" ] in
-  Subsystem.make ~name:"netdev" ~descriptions ~init ~copy_kind ~copy_global
+  Subsystem.make ~name:"netdev" ~descriptions ~init
     ~handlers:
       [
         ("socket$packet", h_socket_packet);

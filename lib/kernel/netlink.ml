@@ -167,7 +167,7 @@ type attrs = {
 }
 
 let rec arg_size = function
-  | Arg.Int _ | Arg.Slot _ -> 8
+  | Arg.Int _ -> 8
   | Arg.Str s -> String.length s
   | Arg.Buf b -> Bytes.length b
   | Arg.Rec fs -> List.fold_left (fun acc f -> acc + arg_size f) 0 fs
@@ -834,18 +834,6 @@ sendmsg$nlctrl_unregister(fd sock_nl_generic, fam genl_family_id, mflags const[0
 setsockopt$NETLINK_ADD_MEMBERSHIP(fd sock_netlink, level const[270], optname const[1], group ptr[in, int32[1:32]])
 |}
 
-let copy_kind : State.fd_kind -> State.fd_kind option = function
-  | Nl_sock s -> Some (Nl_sock { s with memberships = s.memberships })
-  | _ -> None
-
-let copy_global : State.global -> State.global option = function
-  | Genl_families tbl ->
-    Some
-      (Genl_families
-         (State.copy_tbl (fun (f : genl_family) -> { f with gid = f.gid }) tbl))
-  | Nl_addrs tbl -> Some (Nl_addrs (Hashtbl.copy tbl))
-  | _ -> None
-
 (* Lock classes. The rtnetlink handlers take [Netdev.rtnl] — the same
    class as the netdev ioctl paths — because they mutate the same
    device table; guard-coverage flagged exactly this cross-subsystem
@@ -862,7 +850,7 @@ let sub =
   let rt_spec touches = Lock.scoped [ "rtnl"; "nl_sock" ] ~touches in
   let ge_spec touches = Lock.scoped [ "genl_mutex"; "nl_sock" ] ~touches in
   let sk_spec touches = Lock.scoped [ "nl_sock" ] ~touches in
-  Subsystem.make ~name:"netlink" ~descriptions ~init ~copy_kind ~copy_global
+  Subsystem.make ~name:"netlink" ~descriptions ~init
     ~handlers:
       [
         ("socket$nl_route", h_socket_route);

@@ -174,20 +174,8 @@ ioctl$RDMA_CONNECT(fd fd_rdma, cmd const[0xc0184604], id rdma_id)
 ioctl$RDMA_DESTROY_ID(fd fd_rdma, cmd const[0xc0184605], id rdma_id)
 |}
 
-let copy_kind : State.fd_kind -> State.fd_kind option = function
-  | Rdma_cm -> Some Rdma_cm
-  | _ -> None
-
-let copy_global : State.global -> State.global option = function
-  | Rdma_ids (tbl, next) ->
-    Some
-      (Rdma_ids
-         ( State.copy_tbl (fun (c : cm_id) -> { c with bound = c.bound }) tbl,
-           ref !next ))
-  | _ -> None
-
 let sub =
-  Subsystem.make ~name:"rdma" ~descriptions ~init ~copy_kind ~copy_global
+  Subsystem.make ~name:"rdma" ~descriptions ~init
     ~handlers:
       [
         ("openat$rdma_cm", h_open);

@@ -617,19 +617,11 @@ getsockname(fd sock, addr ptr[out, sockaddr])
 shutdown(fd sock, how int32[0:2])
 |}
 
-let copy_kind : State.fd_kind -> State.fd_kind option = function
-  | Sock s -> Some (Sock { s with bound = s.bound })
-  | _ -> None
-
-let copy_global : State.global -> State.global option = function
-  | Rxrpc_locals tbl -> Some (Rxrpc_locals (Hashtbl.copy tbl))
-  | _ -> None
-
 let sub =
   let l = Subsystem.locked [ sk_lock ] in
   let w touches = Lock.scoped [ "sk_lock" ] ~touches in
   let wsk = Lock.scoped [ "sk_lock" ] ~touches:[ "fd:sock" ] in
-  Subsystem.make ~name:"sock" ~descriptions ~init ~copy_kind ~copy_global
+  Subsystem.make ~name:"sock" ~descriptions ~init
     ~handlers:
       [
         ("socket$tcp", h_socket Tcp);

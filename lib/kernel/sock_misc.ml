@@ -271,14 +271,8 @@ ioctl$154_DEL_KEY(fd sock_154, cmd const[0x8b02], key ptr[in, llsec_key])
 sendto$ieee802154(fd sock_154, buf buffer[in], length len[buf], sflags const[0], addr ptr[in, sockaddr])
 |}
 
-let copy_kind : State.fd_kind -> State.fd_kind option = function
-  | L2cap l -> Some (L2cap { l with connected = l.connected })
-  | Llcp l -> Some (Llcp { l with bound = l.bound })
-  | Ieee802154 i -> Some (Ieee802154 { i with keys = i.keys })
-  | _ -> None
-
 let sub =
-  Subsystem.make ~name:"sock_misc" ~descriptions ~copy_kind
+  Subsystem.make ~name:"sock_misc" ~descriptions
     ~handlers:
       [
         ("socket$l2cap", h_socket_l2cap);

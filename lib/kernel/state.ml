@@ -98,41 +98,6 @@ let set_global t name g = Hashtbl.replace t.globals name g
 let global t name = Hashtbl.find_opt t.globals name
 let global_exn t name = Hashtbl.find t.globals name
 
-let copy_tbl copy_v tbl =
-  let t = Hashtbl.copy tbl in
-  Hashtbl.filter_map_inplace (fun _ v -> Some (copy_v v)) t;
-  t
-
-let copy ~copy_kind ~copy_global t =
-  let fds = Hashtbl.copy t.fds in
-  (* [dup_fd] registers the same entry record under two descriptor
-     numbers; preserve that aliasing by memoizing copies on the entry's
-     allocation-time [fd] field (unique per record). *)
-  let memo = Hashtbl.create (Hashtbl.length fds) in
-  Hashtbl.filter_map_inplace
-    (fun _num e ->
-      match Hashtbl.find_opt memo e.fd with
-      | Some e' -> Some e'
-      | None ->
-        let e' = { e with kind = copy_kind e.kind } in
-        Hashtbl.add memo e.fd e';
-        Some e')
-    fds;
-  let globals = Hashtbl.copy t.globals in
-  Hashtbl.filter_map_inplace (fun name g -> Some (copy_global name g)) globals;
-  {
-    kversion = t.kversion;
-    next_fd = t.next_fd;
-    fds;
-    ops = t.ops;
-    globals;
-    counters = Hashtbl.copy t.counters;
-    lock_counts = Array.copy t.lock_counts;
-    eff_reads = Array.copy t.eff_reads;
-    eff_writes = Array.copy t.eff_writes;
-    eff_trace = t.eff_trace;
-  }
-
 let incr_counter t name =
   let v = (match Hashtbl.find_opt t.counters name with Some v -> v | None -> 0) + 1 in
   Hashtbl.replace t.counters name v;

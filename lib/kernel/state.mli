@@ -68,24 +68,6 @@ val global : t -> string -> global option
 val global_exn : t -> string -> global
 (** Raises [Not_found]. *)
 
-(** {2 Snapshots} *)
-
-val copy :
-  copy_kind:(fd_kind -> fd_kind) ->
-  copy_global:(string -> global -> global) ->
-  t ->
-  t
-(** Deep-copy the state so execution can resume from it later without
-    disturbing the original. [copy_kind] / [copy_global] clone the
-    subsystem-owned payloads ({!Kernel.copy} assembles them from the
-    per-subsystem hooks); the fd table preserves [dup_fd] aliasing
-    (two descriptor numbers sharing one entry share its copy too). *)
-
-val copy_tbl : ('b -> 'b) -> ('a, 'b) Hashtbl.t -> ('a, 'b) Hashtbl.t
-(** Hash-table clone with a per-value copy function, preserving the
-    internal bucket structure (and therefore iteration order) of the
-    original — subsystem copy hooks use it for their registries. *)
-
 (** {2 Named counters}
 
     Small integer scratchpad for cross-call conditions that do not
@@ -105,8 +87,7 @@ val fold_counters : (string -> int -> 'a -> 'a) -> t -> 'a -> 'a
 
     Dense integer slots (assigned by [Lock]) into a plain int array,
     so the per-acquire accounting hook is an array increment — far
-    cheaper than a string-keyed counter on the execution hot path.
-    Copied by {!copy} like every other piece of state. *)
+    cheaper than a string-keyed counter on the execution hot path. *)
 
 val bump_lock : t -> int -> unit
 (** Increment a lock-counter slot, growing the array on demand. *)

@@ -12,14 +12,11 @@ type t = {
   init : State.t -> unit;
   handlers : (string * handler) list;
   file_ops : file_op list;
-  copy_kind : State.fd_kind -> State.fd_kind option;
-  copy_global : State.global -> State.global option;
   locks : (string * Lock.spec) list;
   effects : (string * Effect.spec) list;
 }
 
-let make ?(init = fun _ -> ()) ?(handlers = []) ?(file_ops = [])
-    ?(copy_kind = fun _ -> None) ?(copy_global = fun _ -> None) ?(locks = [])
+let make ?(init = fun _ -> ()) ?(handlers = []) ?(file_ops = []) ?(locks = [])
     ?(effects = []) ~name ~descriptions () =
   {
     name;
@@ -27,8 +24,6 @@ let make ?(init = fun _ -> ()) ?(handlers = []) ?(file_ops = [])
     init;
     handlers;
     file_ops;
-    copy_kind;
-    copy_global;
     locks;
     effects;
   }

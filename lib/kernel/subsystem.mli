@@ -18,12 +18,6 @@ type t = {
   init : State.t -> unit;  (** Install global state at boot. *)
   handlers : (string * handler) list;  (** Exact syscall-name handlers. *)
   file_ops : file_op list;
-  copy_kind : State.fd_kind -> State.fd_kind option;
-      (** Deep-copy this subsystem's fd payloads ([None] = not ours).
-          Every subsystem that extends {!State.fd_kind} must handle its
-          own constructors here or {!Kernel.copy} fails loudly. *)
-  copy_global : State.global -> State.global option;
-      (** Same, for {!State.global} slots installed at boot. *)
   locks : (string * Lock.spec) list;
       (** Declared lock specs, keyed by handler name. Deliberately
           separate from the {!locked} wrappers on the handlers
@@ -42,8 +36,6 @@ val make :
   ?init:(State.t -> unit) ->
   ?handlers:(string * handler) list ->
   ?file_ops:file_op list ->
-  ?copy_kind:(State.fd_kind -> State.fd_kind option) ->
-  ?copy_global:(State.global -> State.global option) ->
   ?locks:(string * Lock.spec) list ->
   ?effects:(string * Effect.spec) list ->
   name:string ->

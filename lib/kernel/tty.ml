@@ -344,16 +344,8 @@ syslog(cmd int32[0:10], buf buffer[out], length len[buf])
 
 let applies_tty = function Tty _ -> true | _ -> false
 
-let copy_kind : State.fd_kind -> State.fd_kind option = function
-  | Tty t -> Some (Tty { t with ldisc = t.ldisc })
-  | _ -> None
-
-let copy_global : State.global -> State.global option = function
-  | Console c -> Some (Console { c with writes = c.writes })
-  | _ -> None
-
 let sub =
-  Subsystem.make ~name:"tty" ~descriptions ~init ~copy_kind ~copy_global
+  Subsystem.make ~name:"tty" ~descriptions ~init
     ~handlers:
       [
         ("openat$ptmx", h_open Ptmx);

@@ -163,12 +163,8 @@ io_uring_register$BUFFERS(fd fd_uring, opcode const[0], iovs ptr[in, array[iovec
 io_uring_register$UNREGISTER_BUFFERS(fd fd_uring, opcode const[1], unused ptr[in, int64], zero const[0])
 |}
 
-let copy_kind : State.fd_kind -> State.fd_kind option = function
-  | Uring u -> Some (Uring { u with entries = u.entries })
-  | _ -> None
-
 let sub =
-  Subsystem.make ~name:"uring" ~descriptions ~copy_kind
+  Subsystem.make ~name:"uring" ~descriptions
     ~handlers:
       [
         ("io_uring_setup", h_setup);

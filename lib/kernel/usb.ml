@@ -88,12 +88,8 @@ syz_usb_disconnect(fd fd_usb)
 syz_usb_control_io(fd fd_usb, req ptr[in, usb_ctrl_req])
 |}
 
-let copy_kind : State.fd_kind -> State.fd_kind option = function
-  | Usbdev d -> Some (Usbdev { d with configured = d.configured })
-  | _ -> None
-
 let sub =
-  Subsystem.make ~name:"usb" ~descriptions ~copy_kind
+  Subsystem.make ~name:"usb" ~descriptions
     ~handlers:
       [
         ("syz_usb_connect", h_connect);

@@ -1070,34 +1070,12 @@ io_submit(ctx aio_ctx, nr intptr, iocbs ptr[in, array[iocb, 1:4]])
 io_destroy(ctx aio_ctx)
 |}
 
-let copy_kind : State.fd_kind -> State.fd_kind option = function
-  | File f -> Some (File { f with offset = f.offset })
-  | Epoll e -> Some (Epoll { e with last_wait = e.last_wait })
-  | Chrfd c -> Some (Chrfd { writes = c.writes })
-  | _ -> None
-
-let copy_global : State.global -> State.global option = function
-  | Fs fs ->
-    Some
-      (Fs
-         {
-           inodes =
-             State.copy_tbl (fun (i : inode) -> { i with size = i.size }) fs.inodes;
-           aio =
-             State.copy_tbl
-               (fun (a : aio_ctx_state) -> { a with inflight = a.inflight })
-               fs.aio;
-           next_aio = fs.next_aio;
-           chr = { fs.chr with opens = fs.chr.opens };
-         })
-  | _ -> None
-
 let sub =
   let l = Subsystem.locked [ vfs_files ] in
   let ep = Subsystem.locked [ ep_mutex ] in
   let w touches = Lock.scoped [ "vfs_files" ] ~touches in
   let ep_spec = Lock.scoped [ "ep_mutex" ] ~touches:[ "fd:epoll" ] in
-  Subsystem.make ~name:"vfs" ~descriptions ~init ~copy_kind ~copy_global
+  Subsystem.make ~name:"vfs" ~descriptions ~init
     ~handlers:
       [
         ("open", l h_open);

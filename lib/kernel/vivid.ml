@@ -145,12 +145,8 @@ ioctl$VIDIOC_QUERYCTRL(fd fd_vivid, cmd const[0xc0445624], id int32)
 ioctl$VIDIOC_S_CTRL(fd fd_vivid, cmd const[0xc008561c], ctrl ptr[in, int64])
 |}
 
-let copy_kind : State.fd_kind -> State.fd_kind option = function
-  | Vivid v -> Some (Vivid { v with reqbufs = v.reqbufs })
-  | _ -> None
-
 let sub =
-  Subsystem.make ~name:"vivid" ~descriptions ~copy_kind
+  Subsystem.make ~name:"vivid" ~descriptions
     ~handlers:
       [
         ("openat$vivid", h_open);

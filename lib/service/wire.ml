@@ -12,8 +12,11 @@ let tag_of_byte = function
   | 'Q' -> Quit
   | c -> raise (Malformed (Printf.sprintf "unknown frame tag %C" c))
 
-(* A corrupt length prefix must not turn into a giant allocation. *)
-let max_payload = 1 lsl 30
+(* The largest frame a two-shard, 24-epoch serve campaign sends is
+   about 0.5 MB (a worker's end-of-epoch delta), so 16 MiB leaves over
+   30x headroom while a corrupt or hostile length prefix can no longer
+   demand a huge buffer. *)
+let max_payload = 1 lsl 24
 
 (* ---- payload primitives ---- *)
 
@@ -157,7 +160,9 @@ let recv ep =
     shift := !shift + 7;
     continue := b land 0x80 <> 0
   done;
-  if !len > max_payload then raise (Malformed "frame payload too large");
+  (* A 9-byte varint can set the sign bit. *)
+  if !len < 0 || !len > max_payload then
+    raise (Malformed "frame payload too large");
   read_exact_into ep !len;
   ep.bytes_in <- ep.bytes_in + !hdr + !len;
   ep.frames_in <- ep.frames_in + 1;

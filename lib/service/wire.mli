@@ -11,6 +11,11 @@
 exception Malformed of string
 (** Unknown tag, varint overflow, or an implausible payload length. *)
 
+val max_payload : int
+(** Largest payload, in bytes, that {!recv} accepts. A longer length
+    prefix raises {!Malformed} before any of the payload is read or
+    allocated. *)
+
 type tag =
   | Epoch  (** coordinator -> worker: epoch index + merged state *)
   | Delta  (** worker -> coordinator: end-of-epoch shard delta *)

@@ -11,8 +11,6 @@ let () =
       ("analysis", Test_analysis.suite);
       ("cheader", Test_cheader.suite);
       ("executor", Test_executor.suite);
-      ("exec-cache", Test_exec_cache.suite);
-      ("compiled", Test_compiled.suite);
       ("bugs", Test_bugs.suite);
       ("kernel-core", Test_kernel_core.suite);
       ("kernel-vfs", Test_kernel_vfs.suite);

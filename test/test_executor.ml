@@ -4,8 +4,16 @@ module Serializer = Healer_executor.Serializer
 module Exec = Healer_executor.Exec
 module Vm = Healer_executor.Vm
 module Pool = Healer_executor.Pool
+module Target = Healer_syzlang.Target
+module Rng = Healer_util.Rng
 module K = Healer_kernel
 open Helpers
+
+let gen_prog seed =
+  let rng = Rng.create seed in
+  Healer_core.Gen.generate rng (tgt ())
+    ~select:(fun ~sub:_ -> Rng.int rng (Target.n_syscalls (tgt ())))
+    ()
 
 (* ---- Prog editing ---- *)
 
@@ -81,6 +89,73 @@ let test_prog_edit_invariant =
                 (call "fsync" [ i 0L ]))
         edits;
       Prog.well_formed !p)
+
+(* A random edit script applied to a builder and to the immutable
+   program agrees call-for-call. *)
+let test_builder_equiv =
+  qcheck ~count:80 "Prog.Builder ≡ immutable edits"
+    QCheck2.Gen.(pair small_int (list_size (int_range 0 12) (pair small_int bool)))
+    (fun (seed, ops) ->
+      let p = gen_prog seed in
+      if Prog.length p = 0 then true
+      else begin
+        let b = Prog.Builder.of_prog p in
+        let q = ref p in
+        List.iter
+          (fun (x, push) ->
+            let c = Prog.call p (x mod Prog.length p) in
+            if push then begin
+              Prog.Builder.push b c;
+              q := Prog.append !q c
+            end
+            else begin
+              let at = x mod (Prog.Builder.length b + 1) in
+              Prog.Builder.insert b at c;
+              q := Prog.insert !q at c
+            end)
+          ops;
+        Prog.Builder.to_prog b = !q
+        && Prog.Builder.length b = Prog.length !q
+      end)
+
+(* The early-exit predicates match their exhaustive definitions, on
+   well-formed programs and on deliberately corrupted ones. *)
+let test_predicates =
+  qcheck ~count:60 "well_formed/uses_result_of ≡ exhaustive scan"
+    QCheck2.Gen.(pair small_int bool)
+    (fun (seed, corrupt) ->
+      let p = gen_prog seed in
+      let p =
+        if corrupt && Prog.length p > 0 then
+          Prog.append p
+            {
+              Prog.syscall = (Prog.call p 0).Prog.syscall;
+              args = [ Value.Res_ref 99 ];
+            }
+        else p
+      in
+      let n = Prog.length p in
+      let wf_ref =
+        let ok = ref true in
+        for k = 0 to n - 1 do
+          List.iter
+            (fun i -> if i >= k || i < 0 then ok := false)
+            (Prog.refs_of_call (Prog.call p k))
+        done;
+        !ok
+      in
+      let uses_ref i =
+        let used = ref false in
+        for k = 0 to n - 1 do
+          if k > i && List.mem i (Prog.refs_of_call (Prog.call p k)) then
+            used := true
+        done;
+        !used
+      in
+      Prog.well_formed p = wf_ref
+      && List.for_all
+           (fun i -> Prog.uses_result_of p i = uses_ref i)
+           (List.init n Fun.id))
 
 (* ---- serializer ---- *)
 
@@ -295,6 +370,41 @@ let test_pool_stats () =
   Alcotest.(check int) "execs" 2 (Pool.total_execs pool);
   Alcotest.(check int) "crashes" 1 (Pool.total_crashes pool)
 
+(* [Pool.run_probe] survives only as an alias of [Pool.run]: same
+   results and same VM bookkeeping, crashing reproducers included. *)
+let test_pool_run_probe_is_run () =
+  let generated = List.init 30 gen_prog in
+  let vm_stats pool =
+    let acc = ref [] in
+    Pool.iter (fun vm -> acc := Vm.stats vm :: !acc) pool;
+    !acc
+  in
+  let check what ~version ~features progs =
+    let a = Pool.create ~features ~version ~size:2 () in
+    let b = Pool.create ~features ~version ~size:2 () in
+    List.iter
+      (fun p ->
+        if Pool.run a p <> Pool.run_probe b p then
+          Alcotest.failf "%s: run_probe differs from run on:@.%s" what
+            (Prog.to_string p))
+      progs;
+    if vm_stats a <> vm_stats b then Alcotest.failf "%s: Vm.stats differ" what;
+    Pool.total_crashes a
+  in
+  ignore (check "generated" ~version:K.Version.V5_11 ~features:[] generated);
+  let crashes =
+    List.fold_left
+      (fun n (rp : Bug_repros.repro) ->
+        if rp.Bug_repros.fault_call <> None then n
+        else
+          n
+          + check rp.Bug_repros.key ~version:rp.Bug_repros.version
+              ~features:rp.Bug_repros.features
+              (rp.Bug_repros.build () :: List.filteri (fun k _ -> k < 3) generated))
+      0 Bug_repros.all
+  in
+  Alcotest.(check bool) "reproducers crash" true (crashes > 0)
+
 let suite =
   [
     case "prog basics" test_prog_basics;
@@ -304,6 +414,8 @@ let suite =
     case "prog sub" test_prog_sub;
     case "prog pp" test_prog_pp;
     test_prog_edit_invariant;
+    test_builder_equiv;
+    test_predicates;
     case "serializer roundtrip" test_roundtrip_explicit;
     case "serializer all value forms" test_roundtrip_all_value_forms;
     case "serializer malformed" test_serializer_malformed;
@@ -319,4 +431,5 @@ let suite =
     case "vm lifecycle" test_vm_lifecycle;
     case "pool round robin" test_pool_round_robin;
     case "pool stats" test_pool_stats;
+    case "pool run_probe is run" test_pool_run_probe_is_run;
   ]

@@ -307,6 +307,51 @@ let test_wire_rejects_garbage () =
       | exception S.Wire.Malformed _ -> ()
       | _ -> Alcotest.fail "accepted unknown frame tag")
 
+(* A length prefix over [Wire.max_payload] is rejected from the header
+   alone: nothing of the payload is read or allocated. A frame of
+   exactly the bound still decodes. Frames go through a file, which
+   unlike a pipe takes a large frame without a concurrent reader. *)
+let test_wire_payload_bound () =
+  let path = Filename.temp_file "wire" ".frame" in
+  Fun.protect ~finally:(fun () -> Sys.remove path) @@ fun () ->
+  let with_frame write check =
+    let fd = Unix.openfile path [ Unix.O_RDWR; Unix.O_TRUNC ] 0o600 in
+    Fun.protect ~finally:(fun () -> Unix.close fd) @@ fun () ->
+    write fd;
+    ignore (Unix.lseek fd 0 Unix.SEEK_SET);
+    check fd
+  in
+  let rejects what header =
+    with_frame
+      (fun fd -> ignore (Unix.write_substring fd header 0 (String.length header)))
+      (fun fd ->
+        let before = Gc.allocated_bytes () in
+        (match S.Wire.recv_frame fd with
+        | exception S.Wire.Malformed _ -> ()
+        | exception End_of_file -> Alcotest.failf "%s: read the payload" what
+        | _ -> Alcotest.failf "%s: accepted" what);
+        Alcotest.(check bool)
+          (what ^ ": no payload allocation")
+          true
+          (Gc.allocated_bytes () -. before < 1e6))
+  in
+  let header n =
+    let b = Buffer.create 16 in
+    Buffer.add_char b 'D';
+    S.Wire.put_int b n;
+    Buffer.contents b
+  in
+  rejects "bound + 1" (header (S.Wire.max_payload + 1));
+  rejects "sign bit set" ("D" ^ String.make 8 '\xff' ^ "\x7f");
+  with_frame
+    (fun fd ->
+      S.Wire.send_frame fd S.Wire.Delta (String.make S.Wire.max_payload 'x'))
+    (fun fd ->
+      let tag, p = S.Wire.recv_frame fd in
+      Alcotest.(check bool) "delta tag" true (tag = S.Wire.Delta);
+      Alcotest.(check int) "payload at the bound" S.Wire.max_payload
+        (String.length p))
+
 (* ---- worker determinism and delta folding ---- *)
 
 let small_cfg ?(jobs = 2) ?(epochs = 2) ?(seed = 5) ?(slice = 30.0) () =
@@ -573,6 +618,7 @@ let suite =
       case "wire primitives roundtrip" test_wire_roundtrip;
       case "wire frames over a pipe" test_wire_frames_over_pipe;
       case "wire rejects unknown tags" test_wire_rejects_garbage;
+      case "wire payload bound" test_wire_payload_bound;
       case "worker epoch is deterministic" test_worker_deterministic;
       case "delta fold order is irrelevant" test_fold_order_irrelevant;
       case "delta roundtrip" test_delta_roundtrip;

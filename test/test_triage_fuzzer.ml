@@ -170,10 +170,6 @@ let test_campaign_math () =
       crashes = [];
       relation_snapshots = [];
       execs = 0;
-      cache_hits = 0;
-      cache_misses = 0;
-      cache_evictions = 0;
-      cache_resumed_calls = 0;
     }
   in
   let base = mk 100 [ (60.0, 50); (120.0, 100) ] in
@@ -202,10 +198,6 @@ let test_campaign_average_series () =
       crashes = [];
       relation_snapshots = [];
       execs = 0;
-      cache_hits = 0;
-      cache_misses = 0;
-      cache_evictions = 0;
-      cache_resumed_calls = 0;
     }
   in
   let avg =
