@@ -600,91 +600,6 @@ let micro () =
     tests;
   micro_results := List.rev !micro_results
 
-(* ---- lockdep overhead smoke (cheap enough for every build) ---- *)
-
-(* The acquire/release hooks charge two State-counter increments per
-   lock nesting level; the acceptance bar is <= 5% on exec throughput.
-   Measured directly (not via bechamel) so the hooks-on/off toggle
-   brackets whole timing runs: N seed-corpus executions with hooks on
-   vs off, wall-clock per execution into [micro_results]. *)
-let lockdep_smoke () =
-  section "Lockdep hook overhead";
-  let target = K.Kernel.target () in
-  let kernel = K.Kernel.boot ~version:K.Version.V5_11 () in
-  let cov = K.Coverage.create () in
-  let progs = Seeds.traces target @ Seeds.distilled target in
-  (* Interleaved batches with min-of-batches per side: alternating
-     off/on brackets out scheduler and GC drift, and the minimum is
-     the noise-robust estimate of the true per-execution cost. *)
-  let batches = 12 and rounds = 200 in
-  let batch hooks =
-    K.Lock.set_hooks hooks;
-    Fun.protect
-      ~finally:(fun () -> K.Lock.set_hooks true)
-      (fun () ->
-        let t0 = Unix.gettimeofday () in
-        for _ = 1 to rounds do
-          List.iter (fun p -> ignore (Healer_executor.Exec.run ~cov kernel p)) progs
-        done;
-        let dt = Unix.gettimeofday () -. t0 in
-        dt /. float_of_int (rounds * List.length progs) *. 1e9)
-  in
-  (* Warm-up both sides so allocation effects don't bias either. *)
-  ignore (batch false);
-  ignore (batch true);
-  let off = ref infinity and on = ref infinity in
-  for _ = 1 to batches do
-    off := Float.min !off (batch false);
-    on := Float.min !on (batch true)
-  done;
-  let off = !off and on = !on in
-  micro_results :=
-    !micro_results @ [ ("exec (lock hooks off)", off); ("exec (lock hooks on)", on) ];
-  Fmt.pr "  %-26s %14.0f@." "exec (lock hooks off)" off;
-  Fmt.pr "  %-26s %14.0f@." "exec (lock hooks on)" on;
-  Fmt.pr "  %-26s %13.1f%%@." "lockdep overhead"
-    (if off > 0.0 then (on -. off) /. off *. 100.0 else 0.0)
-
-(* ---- effect-hook overhead smoke (cheap enough for every build) ---- *)
-
-(* The effect-recording hooks charge one State-array increment per
-   instrumented slot access; same acceptance bar and min-of-batches
-   method as the lockdep hooks (<= 5% on exec throughput). *)
-let effects_smoke () =
-  section "Effect hook overhead";
-  let target = K.Kernel.target () in
-  let kernel = K.Kernel.boot ~version:K.Version.V5_11 () in
-  let cov = K.Coverage.create () in
-  let progs = Seeds.traces target @ Seeds.distilled target in
-  let batches = 12 and rounds = 200 in
-  let batch hooks =
-    K.Effect.set_hooks hooks;
-    Fun.protect
-      ~finally:(fun () -> K.Effect.set_hooks true)
-      (fun () ->
-        let t0 = Unix.gettimeofday () in
-        for _ = 1 to rounds do
-          List.iter (fun p -> ignore (Healer_executor.Exec.run ~cov kernel p)) progs
-        done;
-        let dt = Unix.gettimeofday () -. t0 in
-        dt /. float_of_int (rounds * List.length progs) *. 1e9)
-  in
-  ignore (batch false);
-  ignore (batch true);
-  let off = ref infinity and on = ref infinity in
-  for _ = 1 to batches do
-    off := Float.min !off (batch false);
-    on := Float.min !on (batch true)
-  done;
-  let off = !off and on = !on in
-  micro_results :=
-    !micro_results
-    @ [ ("exec (effect hooks off)", off); ("exec (effect hooks on)", on) ];
-  Fmt.pr "  %-26s %14.0f@." "exec (effect hooks off)" off;
-  Fmt.pr "  %-26s %14.0f@." "exec (effect hooks on)" on;
-  Fmt.pr "  %-26s %13.1f%%@." "effect overhead"
-    (if off > 0.0 then (on -. off) /. off *. 100.0 else 0.0)
-
 (* ---- sharded campaign scaling (fuzzing-as-a-service) ---- *)
 
 (* (jobs, wall seconds, execs, coverage, corpus, relation edges,
@@ -692,95 +607,13 @@ let effects_smoke () =
 let shard_results : (int * float * int * int * int * int * int) list ref =
   ref []
 
-(* Forked-coordinator communication costs: exact per-epoch wire bytes
-   of the incremental protocol against the full-state counterfactual,
-   and pipelined (async) vs lockstep (barrier) wall clock under a
-   deterministic rotating straggler. *)
-let shard_comms_stats :
-    (int * int * int * int * float * float) option ref =
-  ref None
-(* (bytes_full, bytes_incremental, steady_full, steady_incremental,
-   barrier_seconds, async_seconds) *)
-
-let shard_comms () =
-  let module S = Healer_service in
-  let epochs = 8 and jobs = 2 in
-  let cfg =
-    {
-      S.Checkpoint.tool = Fuzzer.Healer;
-      version = K.Version.V5_11;
-      jobs;
-      base_seed = 1;
-      epochs;
-      slice = hours *. 3600.0 /. float_of_int epochs;
-    }
-  in
-  (* Byte accounting runs in lockstep: per-epoch attribution is exact
-     there, and the lag-2 schedule ships the same diffs either way. *)
-  let per_epoch = ref [] in
-  let last = ref (0, 0) in
-  let on_epoch (p : S.Coordinator.progress) =
-    let incr_now = p.S.Coordinator.bytes_sent + p.S.Coordinator.bytes_recv in
-    let pi, pf = !last in
-    per_epoch :=
-      (p.S.Coordinator.epoch, incr_now - pi, p.S.Coordinator.bytes_full - pf)
-      :: !per_epoch;
-    last := (incr_now, p.S.Coordinator.bytes_full)
-  in
-  let out =
-    S.Coordinator.run ~forked:true ~mode:S.Coordinator.Barrier
-      ~measure_full:true ~on_epoch (S.Coordinator.initial cfg)
-  in
-  let bytes_incr =
-    out.S.Coordinator.bytes_sent + out.S.Coordinator.bytes_recv
-  in
-  let bytes_full = out.S.Coordinator.bytes_full in
-  Fmt.pr "@.  incremental vs full-state sync (%d shards x %d epochs)@." jobs
-    epochs;
-  Fmt.pr "  %5s %12s %12s %8s@." "epoch" "incr-bytes" "full-bytes" "ratio";
-  List.iter
-    (fun (e, i, f) ->
-      Fmt.pr "  %5d %12d %12d %7.1fx@." e i f
-        (float_of_int f /. float_of_int (max 1 i)))
-    (List.rev !per_epoch);
-  let steady_incr, steady_full =
-    match !per_epoch with (_, i, f) :: _ -> (i, f) | [] -> (0, 0)
-  in
-  Fmt.pr "  %5s %12d %12d %7.1fx@." "total" bytes_incr bytes_full
-    (float_of_int bytes_full /. float_of_int (max 1 bytes_incr));
-  (* Wall clock with a rotating 120 ms straggler: the barrier stalls
-     every shard on it each epoch; the pipeline overlaps it. Skew only
-     sleeps, so all three digests must agree. *)
-  Unix.putenv "HEALER_SHARD_SKEW_MS" "120";
-  let timed mode =
-    let t0 = Unix.gettimeofday () in
-    let o = S.Coordinator.run ~forked:true ~mode (S.Coordinator.initial cfg) in
-    ( Unix.gettimeofday () -. t0,
-      S.Shard_state.digest o.S.Coordinator.final.S.Checkpoint.state )
-  in
-  let barrier_s, barrier_digest = timed S.Coordinator.Barrier in
-  let async_s, async_digest = timed S.Coordinator.Async in
-  Unix.putenv "HEALER_SHARD_SKEW_MS" "0";
-  let base_digest =
-    S.Shard_state.digest out.S.Coordinator.final.S.Checkpoint.state
-  in
-  if not (String.equal barrier_digest async_digest && String.equal base_digest async_digest)
-  then failwith "shard_comms: modes disagree on the final digest";
-  Fmt.pr "@.  barrier vs pipelined under a rotating 120ms straggler@.";
-  Fmt.pr "  %-28s %7.2fs@." "barrier (lockstep) wall" barrier_s;
-  Fmt.pr "  %-28s %7.2fs (digest %s, all modes)@." "async (pipelined) wall"
-    async_s async_digest;
-  shard_comms_stats :=
-    Some (bytes_full, bytes_incr, steady_full, steady_incr, barrier_s, async_s)
-
 (* The serve path end to end: N shards, pipelined CRDT merges. Same
    total virtual budget per shard at every width, so the rows show
    what adding shards buys (coverage, crashes) and costs (merge
    overhead). The digest column makes nondeterminism across widths
-   immediately visible: same jobs, same digest, always. Scaling rows
-   run the in-process oracle (deterministic timing); the comms rows
-   fork real workers, which is why this section runs before the
-   prefetch pool spawns domains (fork is unsafe afterwards). *)
+   immediately visible: same jobs, same digest, always. The rows run
+   the in-process oracle ([~forked:false]), which reaches the same
+   digests as the forked service. *)
 let shard_smoke () =
   section "Sharded campaign scaling (serve)";
   let module S = Healer_service in
@@ -813,15 +646,12 @@ let shard_smoke () =
         crashes dt (S.Shard_state.digest st);
       shard_results :=
         (jobs, dt, execs, cov, corp, edges, crashes) :: !shard_results)
-    [ 1; 2; 4 ];
-  shard_comms ()
+    [ 1; 2; 4 ]
 
 (* ---- wire endpoint micro-benchmark ---- *)
 
 (* ns and bytes per framed send+recv roundtrip over a pipe, using the
    reusable endpoint buffers (the serve hot path). *)
-let wire_stats : (float * float) option ref = ref None
-
 let wire_micro () =
   section "Wire endpoint overhead";
   let module S = Healer_service in
@@ -853,7 +683,6 @@ let wire_micro () =
       in
       Fmt.pr "  %-30s %11.1f ns/frame, %.1f bytes/frame@."
         "send+recv (512B payload)" ns bytes;
-      wire_stats := Some (ns, bytes);
       micro_results :=
         !micro_results @ [ ("wire send+recv (512B frame)", ns) ])
 
@@ -863,8 +692,8 @@ let sections =
   [
     ("fig4", fig4); ("table1", table1); ("table2", table2); ("table3", table3);
     ("fig5", fig5); ("fig6", fig6); ("table4", table4); ("table5", table5);
-    ("ablation", ablation); ("micro", micro); ("lockdep", lockdep_smoke);
-    ("effects", effects_smoke); ("shard", shard_smoke); ("wire", wire_micro);
+    ("ablation", ablation); ("micro", micro); ("shard", shard_smoke);
+    ("wire", wire_micro);
   ]
 
 (* ---- machine-readable results (--json) ---- *)
@@ -909,24 +738,6 @@ let write_json ~jobs ~section_times () =
            "{\"jobs\": %d, \"seconds\": %.3f, \"execs\": %d, \"coverage\": \
             %d, \"corpus\": %d, \"relations\": %d, \"crashes\": %d}"
            jobs dt execs cov corp edges crashes));
-  (match !shard_comms_stats with
-  | Some (bytes_full, bytes_incr, steady_full, steady_incr, barrier_s, async_s)
-    ->
-    let wire_ns, wire_bytes =
-      match !wire_stats with Some (n, b) -> (n, b) | None -> (0.0, 0.0)
-    in
-    field
-      "\"shard_comms\": {\"bytes_full\": %d, \"bytes_incremental\": %d, \
-       \"ratio\": %.1f, \"steady_bytes_full\": %d, \
-       \"steady_bytes_incremental\": %d, \"steady_ratio\": %.1f, \
-       \"barrier_seconds\": %.3f, \"async_seconds\": %.3f, \
-       \"wire_ns_per_frame\": %.1f, \"wire_bytes_per_frame\": %.1f}"
-      bytes_full bytes_incr
-      (float_of_int bytes_full /. float_of_int (max 1 bytes_incr))
-      steady_full steady_incr
-      (float_of_int steady_full /. float_of_int (max 1 steady_incr))
-      barrier_s async_s wire_ns wire_bytes
-  | None -> field "\"shard_comms\": null");
   field ~last:true "%s"
     (obj_list "micro" !micro_results (fun (name, ns) ->
          Printf.sprintf "{\"name\": %S, \"ns_per_run\": %.1f}" name ns));
@@ -957,14 +768,7 @@ let () =
       Fmt.epr "unknown section %s (available: %s)@." name
         (String.concat ", " (List.map fst sections))
   in
-  (* The shard section forks real worker processes, and Unix.fork is
-     unsafe once the prefetch pool has spawned domains — so it (and
-     the tiny wire micro) runs first. *)
-  let fork_first, pooled =
-    List.partition (fun n -> n = "shard" || n = "wire") requested
-  in
-  List.iter run_section fork_first;
-  prefetch pooled;
-  List.iter run_section pooled;
+  prefetch requested;
+  List.iter run_section requested;
   if json then
     write_json ~jobs:(Campaign.default_jobs ()) ~section_times:!section_times ()

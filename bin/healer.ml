@@ -7,7 +7,6 @@
      relations learn relations for a while and dump the table
      compare   head-to-head campaign of two tools
      analyze   static analysis of the description corpus
-     lint      deprecated alias for a subset of analyze
      serve     sharded multi-process campaign with checkpoint/resume
      merge     CRDT-join two campaign checkpoints
      shard-status  inspect (and compare) campaign checkpoints *)
@@ -639,7 +638,7 @@ let run_effects json =
     Fmt.pr "declared handler effect specs: %d@."
       (List.length model.K.Effect.especs);
     Fmt.pr "seed-corpus slot accesses (reads/writes):@.";
-    if counts = [] then Fmt.pr "  (none; effect hooks disabled?)@."
+    if counts = [] then Fmt.pr "  (none)@."
     else
       List.iter
         (fun (slot, (r, w)) -> Fmt.pr "  %-16s %7d %7d@." slot r w)
@@ -744,28 +743,6 @@ let analyze_cmd =
                  observed while executing the built-in seed corpus.")
       $ severity_arg $ only_arg)
 
-(* Deprecated: kept as a thin alias over the analyzer's lint pass so
-   existing invocations keep working. *)
-let run_lint file =
-  Fmt.epr "note: `healer lint` is deprecated; use `healer analyze`@.";
-  let input = analysis_input file in
-  let ds =
-    Analysis.run ~passes:[ Healer_analysis.Lint.pass ] input
-    |> List.filter (fun (d : Diagnostic.t) -> d.Diagnostic.severity <> Diagnostic.Info)
-  in
-  match ds with
-  | [] -> Fmt.pr "%s: no description warnings@." input.Healer_analysis.Pass.name
-  | ds -> List.iter (fun d -> Fmt.pr "%a@." Diagnostic.pp d) ds
-
-let lint_cmd =
-  Cmd.v
-    (Cmd.info "lint"
-       ~doc:
-         "Deprecated alias for the corpus-hygiene subset of $(b,analyze): \
-          unreachable resources, unused flag sets and producer-less \
-          consumers.")
-    Term.(const run_lint $ file_pos_arg)
-
 (* ---- fuzzing-as-a-service: serve / merge / shard-status ---- *)
 
 module Service = Healer_service
@@ -812,7 +789,7 @@ let status_line (p : Service.Coordinator.progress) =
     (Unix.time ())
 
 let run_serve tool version hours seed jobs epochs checkpoint resume no_fork
-    stop_after barrier watch status_json =
+    stop_after watch status_json =
   or_die @@ fun () ->
   if jobs < 1 then failwith "--jobs must be at least 1";
   if epochs < 1 then failwith "--epochs must be at least 1";
@@ -893,11 +870,8 @@ let run_serve tool version hours seed jobs epochs checkpoint resume no_fork
       (Service.Shard_state.total_execs p.Service.Coordinator.state);
     emit_status p
   in
-  let mode =
-    if barrier then Service.Coordinator.Barrier else Service.Coordinator.Async
-  in
   let outcome =
-    Service.Coordinator.run ~forked:(not no_fork) ~mode
+    Service.Coordinator.run ~forked:(not no_fork)
       ?checkpoint_dir:checkpoint ?stop_after ~on_epoch ck
   in
   let final = outcome.Service.Coordinator.final in
@@ -914,7 +888,6 @@ let run_serve tool version hours seed jobs epochs checkpoint resume no_fork
            respawns = outcome.Service.Coordinator.respawns;
            bytes_sent = outcome.Service.Coordinator.bytes_sent;
            bytes_recv = outcome.Service.Coordinator.bytes_recv;
-           bytes_full = outcome.Service.Coordinator.bytes_full;
          }
        ^ "\n")
   | _ -> ());
@@ -951,7 +924,7 @@ let serve_cmd =
           corpus and crashes via incremental CRDT deltas, durable \
           checkpoints, automatic respawn of dead workers. $(b,--hours) is \
           the virtual time each shard fuzzes per epoch; results are \
-          bit-identical with and without $(b,--barrier).")
+          bit-identical with and without $(b,--no-fork).")
     Term.(
       const run_serve $ tool_arg $ version_arg
       $ Arg.(
@@ -986,14 +959,6 @@ let serve_cmd =
               ~doc:
                 "Shut down cleanly once N epochs have completed — simulates \
                  an interrupted daemon for resume testing.")
-      $ Arg.(
-          value & flag
-          & info [ "barrier" ]
-              ~doc:
-                "Lockstep determinism oracle: wait for every shard's epoch \
-                 before dispatching the next. Same schedule, same deltas, \
-                 same final digest as the default pipelined mode — only \
-                 slower under stragglers.")
       $ Arg.(
           value
           & opt (some float) None
@@ -1124,5 +1089,5 @@ let () =
        (Cmd.group info
           [
             fuzz_cmd; target_cmd; bugs_cmd; relations_cmd; compare_cmd;
-            analyze_cmd; lint_cmd; serve_cmd; merge_cmd; shard_status_cmd;
+            analyze_cmd; serve_cmd; merge_cmd; shard_status_cmd;
           ]))

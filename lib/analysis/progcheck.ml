@@ -12,9 +12,6 @@ module Prog = Healer_executor.Prog
 module Target = Healer_syzlang.Target
 
 let checks = P.checks
-let check = P.check
-let errors = P.errors
-let is_clean = P.is_clean
 
 (* All diagnostics over a corpus of named programs, sorted. [src]
    names each program in positions (e.g. "corpus.db#3"). *)

@@ -7,8 +7,7 @@ let max_prog_len = 32
 
 (* All assembly runs on a {!Prog.Builder.t}: producer-chain insertion
    adds one call at a time, which on the immutable program costs a
-   full copy per call. The [Prog.t] entry points below wrap a builder
-   around the same logic. *)
+   full copy per call. *)
 
 (* Positions [< upto] of the [len] calls (syscall id of position [k]
    given by [id_at]) that produce a kind compatible with [kind]. *)
@@ -77,10 +76,3 @@ let insert_call_b rng target b ~at (call : Syscall.t) =
 
 let append_call_b rng target b call =
   insert_call_b rng target b ~at:(Prog.Builder.length b) call
-
-let insert_call rng target p ~at (call : Syscall.t) =
-  let b = Prog.Builder.of_prog p in
-  insert_call_b rng target b ~at call;
-  Prog.Builder.to_prog b
-
-let append_call rng target p call = insert_call rng target p ~at:(Prog.length p) call

@@ -1,6 +1,9 @@
-(** Program assembly: creating calls with resource arguments wired to
-    earlier producers, and inserting the producer chain a call needs
-    when none exists yet in the sequence. *)
+(** Program assembly over a mutable {!Healer_executor.Prog.Builder}:
+    creating calls with resource arguments wired to earlier producers,
+    and inserting the producer chain a call needs when none exists yet
+    in the sequence. Callers chain many insertions (generation, guided
+    mutation, seed traces), so each costs one amortized array slot
+    instead of a whole-program copy. *)
 
 val producers_for :
   Healer_syzlang.Target.t ->
@@ -9,33 +12,9 @@ val producers_for :
   string ->
   int list
 (** Indices [< upto] of calls whose produced resource kind is
-    compatible with consumer kind. *)
-
-val insert_call :
-  Healer_util.Rng.t ->
-  Healer_syzlang.Target.t ->
-  Healer_executor.Prog.t ->
-  at:int ->
-  Healer_syzlang.Syscall.t ->
-  Healer_executor.Prog.t
-(** Insert the call at [at], first inserting producers (recursively, up
-    to depth 3) for any consumed resource kind that has no compatible
-    producer earlier in the sequence. *)
-
-val append_call :
-  Healer_util.Rng.t ->
-  Healer_syzlang.Target.t ->
-  Healer_executor.Prog.t ->
-  Healer_syzlang.Syscall.t ->
-  Healer_executor.Prog.t
-
-(** {2 Builder-backed assembly}
-
-    The same operations over a mutable {!Healer_executor.Prog.Builder},
-    for callers that chain many insertions (generation, guided
-    mutation): amortized one array slot per inserted call instead of a
-    whole-program copy. Draw-for-draw identical Rng usage with the
-    immutable forms above. *)
+    compatible with consumer kind. Kept for callers that hold an
+    immutable program ([Mutate]), so they need not copy it into a
+    builder per call. *)
 
 val producers_for_b :
   Healer_syzlang.Target.t ->
@@ -62,6 +41,9 @@ val insert_call_b :
   at:int ->
   Healer_syzlang.Syscall.t ->
   unit
+(** Insert the call at [at], first inserting producers (recursively, up
+    to depth 3) for any consumed resource kind that has no compatible
+    producer earlier in the sequence. *)
 
 val append_call_b :
   Healer_util.Rng.t ->

@@ -50,11 +50,6 @@ let noise_calls =
     "umask$SET"; "sync$ALL"; "getcpu$CURRENT" ]
 
 let build_trace rng target names =
-  let add p name =
-    match Target.find target name with
-    | Some call -> Builder.append_call rng target p call
-    | None -> p
-  in
   let with_noise =
     (* Interleave 1-2 unrelated calls, as real strace output contains. *)
     List.concat_map
@@ -63,7 +58,14 @@ let build_trace rng target names =
         else [ name ])
       names
   in
-  List.fold_left add Prog.empty with_noise
+  let b = Prog.Builder.create () in
+  List.iter
+    (fun name ->
+      match Target.find target name with
+      | Some call -> Builder.append_call_b rng target b call
+      | None -> ())
+    with_noise;
+  Prog.Builder.to_prog b
 
 let traces ?(seed = 7) target =
   let rng = Rng.create seed in

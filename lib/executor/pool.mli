@@ -1,8 +1,8 @@
 (** A pool of virtual machines, dispatched round-robin.
 
     The paper's experiments give each fuzzer several QEMU instances;
-    the pool abstracts picking the next available one and aggregating
-    their statistics. *)
+    the pool abstracts picking the next available one. Per-VM
+    statistics stay on each {!Vm.t}. *)
 
 type t
 
@@ -16,7 +16,6 @@ val create :
   t
 (** [exec_cache] is ignored; perfbench is its only reader. *)
 
-val size : t -> int
 val next : t -> Vm.t
 (** Round-robin choice. *)
 
@@ -30,8 +29,3 @@ type cache_stats = { hits : int; misses : int }
 
 val cache_stats : t -> cache_stats option
 (** Always [None]; perfbench is its only reader. *)
-
-val total_execs : t -> int
-val total_crashes : t -> int
-val total_resets : t -> int
-val iter : (Vm.t -> unit) -> t -> unit

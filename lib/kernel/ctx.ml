@@ -58,22 +58,18 @@ let rec bump_pairs st held (c : Lock.cls) =
     bump_pairs st rest c
 
 let acquire ctx (c : Lock.cls) =
-  if Lock.hooks_enabled () then begin
-    bump_pairs ctx.st ctx.lock_held c;
-    State.bump_lock ctx.st (Lock.acq_counter c);
-    ctx.lock_held <- c :: ctx.lock_held;
-    if Lock.validate_enabled () then
-      ctx.lock_trace <- Lock.Acquire c.Lock.cname :: ctx.lock_trace
-  end
+  bump_pairs ctx.st ctx.lock_held c;
+  State.bump_lock ctx.st (Lock.acq_counter c);
+  ctx.lock_held <- c :: ctx.lock_held;
+  if Lock.validate_enabled () then
+    ctx.lock_trace <- Lock.Acquire c.Lock.cname :: ctx.lock_trace
 
 let release ctx (c : Lock.cls) =
-  if Lock.hooks_enabled () then begin
-    (match ctx.lock_held with
-    | h :: rest when h.Lock.id = c.Lock.id -> ctx.lock_held <- rest
-    | held -> ctx.lock_held <- List.filter (fun h -> h.Lock.id <> c.Lock.id) held);
-    if Lock.validate_enabled () then
-      ctx.lock_trace <- Lock.Release c.Lock.cname :: ctx.lock_trace
-  end
+  (match ctx.lock_held with
+  | h :: rest when h.Lock.id = c.Lock.id -> ctx.lock_held <- rest
+  | held -> ctx.lock_held <- List.filter (fun h -> h.Lock.id <> c.Lock.id) held);
+  if Lock.validate_enabled () then
+    ctx.lock_trace <- Lock.Release c.Lock.cname :: ctx.lock_trace
 
 let with_lock ctx c f =
   acquire ctx c;

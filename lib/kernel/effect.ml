@@ -51,14 +51,6 @@ let covers ~declared slot =
 
 (* ---- runtime switches ---- *)
 
-(* Recording hooks default on (they feed the per-slot access counters
-   behind `healer analyze --effects`); HEALER_EFFECT_HOOKS=0 turns
-   them off, which the bench uses to measure their overhead.
-   Executions are bit-identical either way. *)
-let hooks = ref (Lock.env_on ~default:true "HEALER_EFFECT_HOOKS")
-let hooks_enabled () = !hooks
-let set_hooks b = hooks := b
-
 (* Trace recording + per-call validation follow the
    HEALER_DEBUG_VALIDATE contract ([Progcheck.set_debug] arms all of
    Progcheck, lockdep and this). *)

@@ -41,12 +41,6 @@ val covers : declared:string list -> string -> bool
 
 (** {1 Runtime switches} *)
 
-val hooks_enabled : unit -> bool
-(** Effect-count recording hooks; default on, [HEALER_EFFECT_HOOKS=0]
-    disables. Executions are bit-identical either way. *)
-
-val set_hooks : bool -> unit
-
 val validate_enabled : unit -> bool
 (** Trace recording + per-call declared-vs-observed validation; armed
     by [HEALER_DEBUG_VALIDATE] / {!set_validate} (wired through

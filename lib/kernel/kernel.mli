@@ -65,9 +65,8 @@ val lock_model : unit -> Lock.model
 val lock_pair_counts : t -> ((string * string) * int) list
 (** Lock-pair acquisition counts accumulated by this kernel's
     executions: [((outer, inner), n)] meaning [inner] was acquired [n]
-    times while [outer] was held. Sorted; empty when
-    {!Lock.hooks_enabled} was off. The queryable concurrency-coverage
-    signal behind [healer analyze --locks]. *)
+    times while [outer] was held. Sorted. The queryable
+    concurrency-coverage signal behind [healer analyze --locks]. *)
 
 val lock_acquire_counts : t -> (string * int) list
 (** Total acquisitions per lock class, sorted by class name. *)
@@ -82,9 +81,8 @@ val effect_model : unit -> Effect.model
 
 val effect_counts : t -> (string * int * int) list
 (** Per-slot [(slot, reads, writes)] access counts accumulated by this
-    kernel's executions, sorted by slot name; empty when
-    {!Effect.hooks_enabled} was off. The observed-access signal behind
-    [healer analyze --effects]. *)
+    kernel's executions, sorted by slot name. The observed-access
+    signal behind [healer analyze --effects]. *)
 
 val exec_call :
   t ->

@@ -71,20 +71,13 @@ let () =
 
 (* ---- runtime switches ---- *)
 
-let env_on ?(default = false) var =
+let env_on var =
   match Sys.getenv_opt var with
-  | None -> default
+  | None -> false
   | Some v -> (
     match String.lowercase_ascii (String.trim v) with
     | "" | "0" | "false" | "no" | "off" -> false
     | _ -> true)
-
-(* Accounting hooks default on (they are the lock-pair coverage
-   signal); HEALER_LOCK_HOOKS=0 turns them off, which the bench uses
-   to measure their overhead. *)
-let hooks = ref (env_on ~default:true "HEALER_LOCK_HOOKS")
-let hooks_enabled () = !hooks
-let set_hooks b = hooks := b
 
 (* Trace recording + per-call validation follow the same debug
    contract as the program validator ([Progcheck]): opt-in via

@@ -96,17 +96,9 @@ val check_trace :
 
 (** {2 Runtime switches} *)
 
-val env_on : ?default:bool -> string -> bool
-(** Parse a boolean environment toggle (["" | 0 | false | no | off]
-    are false); shared with the other hook-bearing modules. *)
-
-val hooks_enabled : unit -> bool
-(** Lock-pair accounting hooks; default on, [HEALER_LOCK_HOOKS=0]
-    disables (the bench measures their overhead). Executions are
-    bit-identical either way — the hooks only write [lock:*]
-    counters. *)
-
-val set_hooks : bool -> unit
+val env_on : string -> bool
+(** Parse a boolean environment toggle (unset or
+    ["" | 0 | false | no | off] are false); shared with {!Effect}. *)
 
 val validate_enabled : unit -> bool
 (** Trace recording + per-call validation; same contract as

@@ -126,10 +126,9 @@ let lock_slot_counts t =
 
 (* ---- effect-access recording ----
 
-   Called from the instrumented subsystem accessors. With hooks off
-   and validation off this is two ref reads; with hooks on, an array
-   increment. Results never depend on it (campaigns are bit-identical
-   either way). *)
+   Called from the instrumented subsystem accessors: an array
+   increment, plus a trace cons under validation. Results never
+   depend on it. *)
 
 let grown a slot =
   let n = Array.length a in
@@ -141,19 +140,15 @@ let grown a slot =
   end
 
 let record_read t slot =
-  if Effect.hooks_enabled () then begin
-    let a = grown t.eff_reads slot in
-    t.eff_reads <- a;
-    Array.unsafe_set a slot (Array.unsafe_get a slot + 1)
-  end;
+  let a = grown t.eff_reads slot in
+  t.eff_reads <- a;
+  Array.unsafe_set a slot (Array.unsafe_get a slot + 1);
   if Effect.validate_enabled () then t.eff_trace <- (slot * 2) :: t.eff_trace
 
 let record_write t slot =
-  if Effect.hooks_enabled () then begin
-    let a = grown t.eff_writes slot in
-    t.eff_writes <- a;
-    Array.unsafe_set a slot (Array.unsafe_get a slot + 1)
-  end;
+  let a = grown t.eff_writes slot in
+  t.eff_writes <- a;
+  Array.unsafe_set a slot (Array.unsafe_get a slot + 1);
   if Effect.validate_enabled () then
     t.eff_trace <- ((slot * 2) + 1) :: t.eff_trace
 

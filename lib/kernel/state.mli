@@ -99,12 +99,11 @@ val lock_slot_counts : t -> (int * int) list
 (** {2 Effect-access recording}
 
     Instrumented subsystem accessors call these with [Effect]'s dense
-    slot indices. With hooks on ({!Effect.hooks_enabled}) accesses are
-    counted per slot (one read + one write counter, array-increment
-    hot path); under debug validation ({!Effect.validate_enabled}) the
-    current call's access trace is recorded too, for the
-    declared-vs-observed check in [Kernel.exec_call]. Results never
-    depend on recording — campaigns are bit-identical hooks on/off. *)
+    slot indices. Accesses are counted per slot (one read + one write
+    counter, array-increment hot path); under debug validation
+    ({!Effect.validate_enabled}) the current call's access trace is
+    recorded too, for the declared-vs-observed check in
+    [Kernel.exec_call]. Results never depend on recording. *)
 
 val record_read : t -> int -> unit
 val record_write : t -> int -> unit

@@ -4,8 +4,6 @@ let initial (config : Checkpoint.config) =
   let state = Shard_state.of_target (Kernel.target ()) in
   { Checkpoint.config; completed = 0; state; prev = state }
 
-type mode = Barrier | Async
-
 type progress = {
   epoch : int;
   epochs : int;
@@ -13,7 +11,6 @@ type progress = {
   respawns : int;
   bytes_sent : int;
   bytes_recv : int;
-  bytes_full : int;
 }
 
 type outcome = {
@@ -23,7 +20,6 @@ type outcome = {
   bytes_recv : int;
   frames_sent : int;
   frames_recv : int;
-  bytes_full : int;
 }
 
 (* A worker connection: both pipe ends (with their reusable wire
@@ -86,18 +82,16 @@ let save_opt checkpoint_dir ck =
   | Some dir -> Checkpoint.save ~dir ck
   | None -> ()
 
-(* The schedule every mode implements: epoch [e] of every shard is
-   seeded with front [e-2] — the join of all shards' deltas through
-   epoch [e-2] (plus the campaign's initial state). The lag of one
-   extra epoch is what makes the schedule {e pipelined}: a shard can
-   start slice [e] as soon as the [e-2] front closes, without waiting
-   for the other shards' [e-1] deltas. Because the seeding inputs are
-   a deterministic function of (config, shard, epoch) — never of
-   arrival timing — barrier (lockstep) and async (overlapped)
-   execution produce byte-identical deltas, and the CRDT fold makes
-   every front, and therefore the final digest, mode-independent. *)
-let run_forked ?checkpoint_dir ?on_epoch ?chaos ~mode ~measure_full
-    (ck0 : Checkpoint.t) ~until =
+(* The schedule: epoch [e] of every shard is seeded with front [e-2]
+   — the join of all shards' deltas through epoch [e-2] (plus the
+   campaign's initial state). The lag of one extra epoch is what makes
+   the schedule {e pipelined}: a shard can start slice [e] as soon as
+   the [e-2] front closes, without waiting for the other shards' [e-1]
+   deltas. Because the seeding inputs are a deterministic function of
+   (config, shard, epoch) — never of arrival timing — every delta is
+   the one the in-process oracle computes, and the CRDT fold makes
+   every front, and therefore the final digest, timing-independent. *)
+let run_forked ?checkpoint_dir ?on_epoch ?chaos (ck0 : Checkpoint.t) ~until =
   Lazy.force ignore_sigpipe;
   (* Initialize every lazy kernel registry before forking: children
      must never race to build shared tables they'd then diverge on. *)
@@ -111,7 +105,6 @@ let run_forked ?checkpoint_dir ?on_epoch ?chaos ~mode ~measure_full
   (* Wire counters, accumulated across respawned connections. *)
   let bytes_sent = ref 0 and bytes_recv = ref 0 in
   let frames_sent = ref 0 and frames_recv = ref 0 in
-  let bytes_full = ref 0 in
   let retire h =
     bytes_sent := !bytes_sent + Wire.bytes_out h.ep_out;
     bytes_recv := !bytes_recv + Wire.bytes_in h.ep_in;
@@ -165,15 +158,6 @@ let run_forked ?checkpoint_dir ?on_epoch ?chaos ~mode ~measure_full
       Hashtbl.replace diff_cache (tag, e) blob;
       blob
   in
-  let full_bcast_cache : (int, int) Hashtbl.t = Hashtbl.create 16 in
-  let full_bcast_len e =
-    match Hashtbl.find_opt full_bcast_cache e with
-    | Some n -> n
-    | None ->
-      let n = String.length (Shard_state.to_string (get_front (e - 2))) + 8 in
-      Hashtbl.replace full_bcast_cache e n;
-      n
-  in
   let get_handle shard =
     match handles.(shard) with Some h -> h | None -> assert false
   in
@@ -196,10 +180,6 @@ let run_forked ?checkpoint_dir ?on_epoch ?chaos ~mode ~measure_full
     ver.(shard) <- 0;
     dispatched.(shard) <- false
   in
-  let dependency_ready e =
-    let dep = match mode with Async -> e - 2 | Barrier -> e - 1 in
-    dep <= !front_hi
-  in
   let rec dispatch shard =
     let e = next.(shard) in
     (* Computed per attempt: a respawned worker holds the empty state,
@@ -216,8 +196,7 @@ let run_forked ?checkpoint_dir ?on_epoch ?chaos ~mode ~measure_full
       ver.(shard) <- ver.(shard) + 1;
       held.(shard) <- get_front (e - 2);
       held_tag.(shard) <- e - 2;
-      dispatched.(shard) <- true;
-      if measure_full then bytes_full := !bytes_full + full_bcast_len e
+      dispatched.(shard) <- true
     | exception Unix.Unix_error ((Unix.EPIPE | Unix.EBADF), _, _) ->
       respawn ~shard;
       dispatch shard
@@ -227,7 +206,7 @@ let run_forked ?checkpoint_dir ?on_epoch ?chaos ~mode ~measure_full
       if
         (not dispatched.(shard))
         && next.(shard) < until
-        && dependency_ready next.(shard)
+        && next.(shard) - 2 <= !front_hi
       then dispatch shard
     done
   in
@@ -244,7 +223,6 @@ let run_forked ?checkpoint_dir ?on_epoch ?chaos ~mode ~measure_full
           respawns = !respawns;
           bytes_sent = s;
           bytes_recv = r;
-          bytes_full = !bytes_full;
         }
     | None -> ()
   in
@@ -339,17 +317,6 @@ let run_forked ?checkpoint_dir ?on_epoch ?chaos ~mode ~measure_full
                   when d.Shard_state.epoch = next.(shard)
                        && d.Shard_state.shard = shard ->
                   let e = d.Shard_state.epoch in
-                  if measure_full then
-                    bytes_full :=
-                      !bytes_full
-                      + String.length
-                          (Shard_state.delta_to_string
-                             {
-                               d with
-                               Shard_state.outcome =
-                                 Shard_state.merge (get_front (e - 2))
-                                   d.Shard_state.outcome;
-                             });
                   round.(e) <- d :: round.(e);
                   arrived.(e) <- arrived.(e) + 1;
                   next.(shard) <- e + 1;
@@ -384,7 +351,6 @@ let run_forked ?checkpoint_dir ?on_epoch ?chaos ~mode ~measure_full
               | Some h -> acc + Wire.frames_in h.ep_in
               | None -> acc)
             !frames_recv handles;
-        bytes_full = !bytes_full;
       })
 
 let run_sequential ?checkpoint_dir ?on_epoch (ck : Checkpoint.t) ~until =
@@ -394,7 +360,7 @@ let run_sequential ?checkpoint_dir ?on_epoch (ck : Checkpoint.t) ~until =
   save_opt checkpoint_dir !ck;
   while !ck.completed < until do
     let epoch = !ck.completed in
-    (* Same schedule as the forked modes: every shard's slice is
+    (* Same schedule as the forked run: every shard's slice is
        seeded with front [epoch - 2] (the checkpoint's [prev]), then
        the full outcomes fold into front [epoch - 1]. Folding a full
        outcome or its diff against [prev] is equivalent, because
@@ -417,7 +383,6 @@ let run_sequential ?checkpoint_dir ?on_epoch (ck : Checkpoint.t) ~until =
           respawns = 0;
           bytes_sent = 0;
           bytes_recv = 0;
-          bytes_full = 0;
         }
     | None -> ()
   done;
@@ -428,16 +393,15 @@ let run_sequential ?checkpoint_dir ?on_epoch (ck : Checkpoint.t) ~until =
     bytes_recv = 0;
     frames_sent = 0;
     frames_recv = 0;
-    bytes_full = 0;
   }
 
-let run ?(forked = true) ?(mode = Async) ?(measure_full = false)
-    ?checkpoint_dir ?stop_after ?on_epoch ?chaos (ck : Checkpoint.t) =
+let run ?(forked = true) ?checkpoint_dir ?stop_after ?on_epoch ?chaos
+    (ck : Checkpoint.t) =
   let until =
     match stop_after with
     | Some n -> min n ck.config.epochs
     | None -> ck.config.epochs
   in
   if forked then
-    run_forked ?checkpoint_dir ?on_epoch ?chaos ~mode ~measure_full ck ~until
+    run_forked ?checkpoint_dir ?on_epoch ?chaos ck ~until
   else run_sequential ?checkpoint_dir ?on_epoch ck ~until

@@ -11,10 +11,11 @@
     barrier: a shard may start slice [e] the moment [F_(e-2)] closes,
     while slower shards are still finishing epoch [e-1]. Because the
     seed is a function of (config, shard, epoch) and never of arrival
-    timing, each delta is identical in every mode, and the CRDT fold
-    makes every front — hence the final digest — mode-independent.
-    Shards can drift at most two epochs apart, so only the newest two
-    fronts are retained (and checkpointed, see {!Checkpoint.t.prev}).
+    timing, each delta equals the one the in-process run computes,
+    and the CRDT fold makes every front — hence the final digest —
+    independent of timing. Shards can drift at most two epochs apart,
+    so only the newest two fronts are retained (and checkpointed, see
+    {!Checkpoint.t.prev}).
 
     All traffic is incremental: the coordinator ships each worker the
     {!Shard_state.diff} between the front it is due and the front it
@@ -29,15 +30,6 @@
 val initial : Checkpoint.config -> Checkpoint.t
 (** A fresh zero-epoch checkpoint for the booted kernel target. *)
 
-type mode =
-  | Barrier
-      (** Lockstep oracle: dispatch epoch [e] only once front [e-1] is
-          folded. Same schedule, same deltas, same digests — no
-          overlap, so stragglers stall every shard. *)
-  | Async
-      (** Pipelined (default): dispatch epoch [e] as soon as front
-          [e-2] is folded; fast shards run ahead of slow ones. *)
-
 type progress = {
   epoch : int;  (** Index of the front that just closed. *)
   epochs : int;
@@ -45,8 +37,6 @@ type progress = {
   respawns : int;
   bytes_sent : int;  (** Cumulative coordinator→worker wire bytes. *)
   bytes_recv : int;  (** Cumulative worker→coordinator wire bytes. *)
-  bytes_full : int;  (** Cumulative full-state counterfactual (see
-      {!outcome.bytes_full}); 0 unless [measure_full]. *)
 }
 
 type outcome = {
@@ -56,17 +46,10 @@ type outcome = {
   bytes_recv : int;
   frames_sent : int;
   frames_recv : int;
-  bytes_full : int;
-      (** Only when [measure_full]: the bytes the same campaign would
-          have moved shipping full states both ways instead of diffs
-          (the pre-incremental protocol) — the denominator for the
-          bench's bytes-reduction ratio. *)
 }
 
 val run :
   ?forked:bool ->
-  ?mode:mode ->
-  ?measure_full:bool ->
   ?checkpoint_dir:string ->
   ?stop_after:int ->
   ?on_epoch:(progress -> unit) ->
@@ -82,14 +65,10 @@ val run :
     [forked] (default true) forks one OS process per shard talking the
     {!Wire} protocol over pipes; when false every shard's epoch is
     computed in-process under the same lag-2 schedule, producing
-    bit-identical results — the test suite's oracle. [mode] picks
-    pipelined vs lockstep dispatch (forked only; final digests are
-    equal either way).
+    bit-identical results — the test suite's oracle.
 
     [checkpoint_dir] persists the checkpoint atomically at start and
     at every front close. [on_epoch] observes each closed front in
     order. [chaos] (tests only) is called once per epoch round with
     the live [(shard, pid)] list so tests can [kill] workers mid-slice
-    and exercise the respawn path. [measure_full] additionally prices
-    every frame's full-state counterfactual into [bytes_full] (bench
-    only — it serializes full states just to measure them). *)
+    and exercise the respawn path. *)

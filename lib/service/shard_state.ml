@@ -2,6 +2,7 @@ module Bitset = Healer_util.Bitset
 module Prog = Healer_executor.Prog
 module Serializer = Healer_executor.Serializer
 module Target = Healer_syzlang.Target
+module Coverage = Healer_kernel.Coverage
 module Risk = Healer_kernel.Risk
 module Relation_table = Healer_core.Relation_table
 module Triage = Healer_core.Triage
@@ -249,9 +250,15 @@ let get_state target s pos =
   done;
   let coverage = Bitset.create () in
   let n_cov = Wire.get_int s pos in
+  (* Every id must be an allocated branch id: a hostile one would size
+     the bitset to it, and a large delta would overflow the sum. *)
+  let limit = Coverage.total_allocated () in
   let prev = ref 0 in
   for _ = 1 to n_cov do
-    prev := !prev + Wire.get_int s pos;
+    let d = Wire.get_int s pos in
+    if d >= limit - !prev then
+      raise (Malformed (Printf.sprintf "coverage id %d+%d out of range" !prev d));
+    prev := !prev + d;
     Bitset.add coverage !prev
   done;
   let n_corpus = Wire.get_int s pos in

@@ -94,7 +94,9 @@ val put_state : Buffer.t -> t -> unit
 (** [to_string] through a caller-supplied (reusable) buffer. *)
 
 val of_string : Healer_syzlang.Target.t -> string -> t
-(** Raises {!Malformed}. Validates [n_syscalls] against the target. *)
+(** Raises {!Malformed}. Validates [n_syscalls] against the target and
+    every coverage id against
+    {!Healer_kernel.Coverage.total_allocated}. *)
 
 (** {2 Worker deltas} *)
 

@@ -53,22 +53,6 @@ let run_epoch (cfg : Checkpoint.config) ~shard ~epoch (g : Shard_state.t) =
   in
   { Shard_state.shard; epoch; d_execs = Fuzzer.execs f; outcome }
 
-(* Bench/test-only straggler simulation: when HEALER_SHARD_SKEW_MS is
-   a positive integer, the shard whose turn it is ((epoch + shard) mod
-   jobs = 0) sleeps that long before answering — a deterministic
-   rotating slow shard that leaves results untouched but shows what
-   the pipelined coordinator buys over the barrier. *)
-let skew_ms =
-  lazy
-    (match Sys.getenv_opt "HEALER_SHARD_SKEW_MS" with
-    | Some v -> ( match int_of_string_opt v with Some n when n > 0 -> n | _ -> 0)
-    | None -> 0)
-
-let skew_sleep (cfg : Checkpoint.config) ~shard ~epoch =
-  let ms = Lazy.force skew_ms in
-  if ms > 0 && (epoch + shard) mod cfg.jobs = 0 then
-    Unix.sleepf (float_of_int ms /. 1000.0)
-
 let serve (cfg : Checkpoint.config) ~shard ~input ~output =
   let target = Healer_kernel.Kernel.target () in
   let inp = Wire.endpoint input and out = Wire.endpoint output in
@@ -95,7 +79,6 @@ let serve (cfg : Checkpoint.config) ~shard ~input ~output =
       let d =
         { d with Shard_state.outcome = Shard_state.diff ~since:!base d.outcome }
       in
-      skew_sleep cfg ~shard ~epoch;
       Wire.send out Wire.Delta (fun buf -> Shard_state.put_delta buf d);
       loop ()
   in

@@ -28,7 +28,6 @@ val serve : Checkpoint.config -> shard:int -> input:Unix.file_descr ->
 (** Child-process loop: receive versioned incremental [Epoch] frames
     (epoch index, base-version check, state diff), fold them into the
     base view, answer with incremental [Delta] frames, exit on [Quit],
-    peer EOF, or a version desync. Honors the HEALER_SHARD_SKEW_MS
-    straggler knob (bench/tests only — sleeps, never changes
-    results). Never returns — terminates the process via [Unix._exit]
-    (skipping [at_exit], which belongs to the parent). *)
+    peer EOF, or a version desync. Never returns — terminates the
+    process via [Unix._exit] (skipping [at_exit], which belongs to the
+    parent). *)

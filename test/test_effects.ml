@@ -1,7 +1,7 @@
 (* The effect model: one hand-broken fixture per effect-*/race-*/
    rel-infer-* check ID, golden "the shipped 20-subsystem corpus is
    effect-clean" tests, runtime observed-vs-declared validation, the
-   effect-count accounting hooks, and property suites asserting the
+   effect-count accounting, and property suites asserting the
    gen/mutate/minimize pipeline never trips the runtime effect
    validator (armed suite-wide by main.ml via
    [Progcheck.set_debug true]). *)
@@ -383,63 +383,25 @@ let test_predicted_edges_shape () =
   Alcotest.(check int) "no wildcard edges" 0
     (List.length (E.predicted_edges em'))
 
-(* ---- effect-count accounting hooks ---- *)
+(* ---- effect-count accounting ---- *)
 
 (* An open/read pair touches the vfs "fs" slot: the per-slot counters
-   must land in the kernel state, and disabling the hooks must leave
-   execution bit-identical with empty counters. *)
-let hook_prog () =
-  prog
-    [
-      call "open" [ s "/tmp/f1"; i 0x40L; i 0x1ffL ];
-      call "read" [ r 0; buf 16; iv 16 ];
-      call "close" [ r 0 ];
-    ]
-
+   must land in the kernel state. *)
 let test_slot_counts () =
   let kernel = boot () in
-  let k', result = Exec.run kernel (hook_prog ()) in
+  let k', result =
+    Exec.run kernel
+      (prog
+         [
+           call "open" [ s "/tmp/f1"; i 0x40L; i 0x1ffL ];
+           call "read" [ r 0; buf 16; iv 16 ];
+           call "close" [ r 0 ];
+         ])
+  in
   Alcotest.(check bool) "no crash" true (result.Exec.crash = None);
   let counts = K.Kernel.effect_counts k' in
   Alcotest.(check bool) "fs slot counted" true
     (List.exists (fun (slot, rd, wr) -> slot = "fs" && rd + wr > 0) counts)
-
-let test_hooks_off_identical () =
-  let with_hooks on =
-    E.set_hooks on;
-    Fun.protect
-      ~finally:(fun () -> E.set_hooks true)
-      (fun () -> Exec.run (boot ()) (hook_prog ()))
-  in
-  let k_on, r_on = with_hooks true in
-  let k_off, r_off = with_hooks false in
-  Alcotest.(check int) "same length" (Array.length r_on.Exec.calls)
-    (Array.length r_off.Exec.calls);
-  Array.iter2
-    (fun (a : Exec.call_result) (b : Exec.call_result) ->
-      Alcotest.(check bool) "same errno" true (a.Exec.errno = b.Exec.errno);
-      Alcotest.(check bool) "same coverage" true (a.Exec.cov = b.Exec.cov))
-    r_on.Exec.calls r_off.Exec.calls;
-  Alcotest.(check bool) "hooks-on counted" true
-    (K.Kernel.effect_counts k_on <> []);
-  Alcotest.(check int) "hooks-off counted nothing" 0
-    (List.length (K.Kernel.effect_counts k_off))
-
-(* Campaign-level determinism: a short healer campaign reaches the
-   same coverage/execs/corpus with the accounting hooks on and off. *)
-let test_campaign_hooks_determinism () =
-  let fingerprint () =
-    let f =
-      Fuzzer.create
-        (Fuzzer.config ~seed:23 ~tool:Fuzzer.Healer ~version:K.Version.V5_11 ())
-    in
-    Fuzzer.run_until f 120.0;
-    (Fuzzer.execs f, Fuzzer.coverage f, Corpus.size (Fuzzer.corpus f))
-  in
-  let on = fingerprint () in
-  E.set_hooks false;
-  let off = Fun.protect ~finally:(fun () -> E.set_hooks true) fingerprint in
-  Alcotest.(check (triple int int int)) "bit-identical campaign" on off
 
 (* ---- runtime validation properties ----
 
@@ -524,8 +486,6 @@ let suite =
     case "rel-infer-summary" test_infer_summary;
     case "predicted edges shape" test_predicted_edges_shape;
     case "effect slot counts" test_slot_counts;
-    case "hooks off: identical + uncounted" test_hooks_off_identical;
-    case "campaign determinism vs hooks" test_campaign_hooks_determinism;
     case "seed corpus validates" test_seed_corpus_validates;
     test_validated_generation;
     test_validated_mutation;

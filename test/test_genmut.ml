@@ -93,7 +93,9 @@ let test_mutate_const_stable () =
 let test_builder_ensures_producers () =
   let rng = rng () in
   let run_call = Target.find_exn (tgt ()) "ioctl$KVM_RUN" in
-  let p = Builder.insert_call rng (tgt ()) Prog.empty ~at:0 run_call in
+  let b = Prog.Builder.of_prog Prog.empty in
+  Builder.insert_call_b rng (tgt ()) b ~at:0 run_call;
+  let p = Prog.Builder.to_prog b in
   Alcotest.(check bool) "well formed" true (Prog.well_formed p);
   let names =
     List.init (Prog.length p) (fun k -> (Prog.call p k).Prog.syscall.Syscall.name)
@@ -108,8 +110,10 @@ let test_builder_ensures_producers () =
 
 let test_builder_reuses_existing_producer () =
   let rng = rng () in
-  let p = Builder.append_call rng (tgt ()) Prog.empty (Target.find_exn (tgt ()) "socket$tcp") in
-  let p = Builder.append_call rng (tgt ()) p (Target.find_exn (tgt ()) "listen") in
+  let b = Prog.Builder.of_prog Prog.empty in
+  Builder.append_call_b rng (tgt ()) b (Target.find_exn (tgt ()) "socket$tcp");
+  Builder.append_call_b rng (tgt ()) b (Target.find_exn (tgt ()) "listen");
+  let p = Prog.Builder.to_prog b in
   (* listen should reference the existing socket, not insert another. *)
   let sockets =
     List.length
@@ -123,11 +127,11 @@ let test_builder_length_cap =
   qcheck ~count:50 "builder respects max length" QCheck2.Gen.small_int (fun seed ->
       let rng = Rng.create seed in
       let calls = Target.syscalls (tgt ()) in
-      let p = ref Prog.empty in
+      let b = Prog.Builder.of_prog Prog.empty in
       for _ = 1 to 100 do
-        p := Builder.append_call rng (tgt ()) !p calls.(Rng.int rng (Array.length calls))
+        Builder.append_call_b rng (tgt ()) b calls.(Rng.int rng (Array.length calls))
       done;
-      Prog.length !p <= Builder.max_prog_len)
+      Prog.length (Prog.Builder.to_prog b) <= Builder.max_prog_len)
 
 (* ---- generation and mutation ---- *)
 

@@ -308,54 +308,6 @@ let test_pair_counts () =
         (List.exists (fun (c', n) -> c' = c && n > 0) acqs))
     [ "rtnl"; "nl_sock" ]
 
-(* Hooks off: executions are bit-identical, counters stay empty. *)
-let test_hooks_off_identical () =
-  let p =
-    prog
-      [
-        call "open" [ s "/tmp/f1"; i 0x40L; i 0x1ffL ];
-        call "read" [ r 0; buf 16; iv 16 ];
-        call "close" [ r 0 ];
-      ]
-  in
-  let with_hooks on =
-    Lock.set_hooks on;
-    Fun.protect
-      ~finally:(fun () -> Lock.set_hooks true)
-      (fun () -> Exec.run (boot ()) p)
-  in
-  let k_on, r_on = with_hooks true in
-  let k_off, r_off = with_hooks false in
-  Alcotest.(check int) "same length" (Array.length r_on.Exec.calls)
-    (Array.length r_off.Exec.calls);
-  Array.iter2
-    (fun (a : Exec.call_result) (b : Exec.call_result) ->
-      Alcotest.(check bool) "same errno" true (a.Exec.errno = b.Exec.errno);
-      Alcotest.(check bool) "same coverage" true (a.Exec.cov = b.Exec.cov))
-    r_on.Exec.calls r_off.Exec.calls;
-  Alcotest.(check bool) "hooks-on counted" true
-    (K.Kernel.lock_acquire_counts k_on <> []);
-  Alcotest.(check int) "hooks-off counted nothing" 0
-    (List.length (K.Kernel.lock_pair_counts k_off)
-    + List.length (K.Kernel.lock_acquire_counts k_off))
-
-(* Campaign-level determinism: a short healer campaign reaches the
-   same coverage/execs/corpus with the accounting hooks on and off. *)
-let test_campaign_hooks_determinism () =
-  let fingerprint () =
-    let f =
-      Fuzzer.create (Fuzzer.config ~seed:11 ~tool:Fuzzer.Healer ~version:K.Version.V5_11 ())
-    in
-    Fuzzer.run_until f 120.0;
-    (Fuzzer.execs f, Fuzzer.coverage f, Corpus.size (Fuzzer.corpus f))
-  in
-  let on = fingerprint () in
-  Lock.set_hooks false;
-  let off =
-    Fun.protect ~finally:(fun () -> Lock.set_hooks true) fingerprint
-  in
-  Alcotest.(check (triple int int int)) "bit-identical campaign" on off
-
 (* ---- runtime validation properties ----
 
    main.ml arms Progcheck.set_debug true for the whole binary, which
@@ -450,8 +402,6 @@ let suite =
     case "check catalog" test_catalog;
     case "registered classes" test_registered_classes;
     case "lock-pair coverage counts" test_pair_counts;
-    case "hooks off: identical + uncounted" test_hooks_off_identical;
-    case "campaign determinism vs hooks" test_campaign_hooks_determinism;
     case "seed corpus validates" test_seed_corpus_validates;
     case "runtime catches spec drift" test_runtime_catches_drift;
     test_validated_generation;

@@ -303,7 +303,9 @@ let test_edit_clean () =
          let at = Rng.int rng (Prog.length !p + 1) in
          let calls = Target.syscalls t in
          let c = calls.(Rng.int rng (Array.length calls)) in
-         p := Builder.insert_call rng t !p ~at c
+         let b = Prog.Builder.of_prog !p in
+         Builder.insert_call_b rng t b ~at c;
+         p := Prog.Builder.to_prog b
        else if Prog.length !p > 1 then p := Prog.remove !p (Rng.int rng (Prog.length !p)));
       Alcotest.(check bool) "edited program well-formed" true (Prog.well_formed !p);
       Alcotest.(check (list string))
@@ -379,7 +381,7 @@ let test_edit_renumbering =
             let calls = Target.syscalls t in
             let sc = calls.(Rng.int rng (Array.length calls)) in
             (* make_call_b + Prog.insert adds exactly one call, which
-               is what the label model tracks (insert_call may splice
+               is what the label model tracks (insert_call_b may splice
                in whole producer chains) *)
             let c = Builder.make_call_b rng t (Prog.Builder.of_prog !p) ~at sc in
             p := Prog.insert !p at c;

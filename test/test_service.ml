@@ -414,8 +414,7 @@ let with_tmpdir f =
   Unix.mkdir dir 0o700;
   Fun.protect ~finally:(fun () -> rm_rf dir) (fun () -> f dir)
 
-let run ?forked ?mode ?checkpoint_dir ?stop_after ?chaos cfg_or_ck =
-  S.Coordinator.run ?forked ?mode ?checkpoint_dir ?stop_after ?chaos cfg_or_ck
+let run = S.Coordinator.run
 
 let test_forked_equals_sequential () =
   let cfg = small_cfg () in
@@ -470,37 +469,31 @@ let test_worker_death_respawn () =
   Alcotest.(check bool) "worker death does not perturb results" true
     (eq baseline.S.Checkpoint.state out.S.Coordinator.final.S.Checkpoint.state)
 
-(* Both forked modes execute the same lag-2 schedule, so the pipelined
-   coordinator must land on the barrier oracle's digest, bit for bit —
-   and both on the in-process oracle's. *)
-let test_async_equals_barrier () =
+(* With three shards over four epochs the pipelined coordinator lets
+   shards drift up to two epochs apart; it must still land on the
+   in-process oracle's digest, bit for bit. *)
+let test_pipelined_equals_sequential () =
   let cfg = small_cfg ~epochs:4 ~jobs:3 () in
-  let digest_of mode =
-    let final =
-      (run ~forked:true ~mode (S.Coordinator.initial cfg)).S.Coordinator.final
-    in
-    Alcotest.(check int) "completed all epochs" cfg.S.Checkpoint.epochs
-      final.S.Checkpoint.completed;
-    S.Shard_state.digest final.S.Checkpoint.state
+  let final =
+    (run ~forked:true (S.Coordinator.initial cfg)).S.Coordinator.final
   in
-  let async = digest_of S.Coordinator.Async in
-  let barrier = digest_of S.Coordinator.Barrier in
+  Alcotest.(check int) "completed all epochs" cfg.S.Checkpoint.epochs
+    final.S.Checkpoint.completed;
+  let async = S.Shard_state.digest final.S.Checkpoint.state in
   let seq =
     S.Shard_state.digest
       (run ~forked:false (S.Coordinator.initial cfg)).S.Coordinator.final
         .S.Checkpoint.state
   in
-  Alcotest.(check string) "async == barrier" barrier async;
   Alcotest.(check string) "async == sequential oracle" seq async
 
 (* Killing workers mid-campaign must not perturb the async digest
    either: respawned workers are re-seeded with a full diff and
    reproduce the lost slice exactly. *)
-let test_async_chaos_equals_barrier () =
+let test_chaos_equals_inprocess () =
   let cfg = small_cfg ~epochs:3 () in
   let baseline =
-    (run ~forked:true ~mode:S.Coordinator.Barrier (S.Coordinator.initial cfg))
-      .S.Coordinator.final
+    (run ~forked:false (S.Coordinator.initial cfg)).S.Coordinator.final
   in
   let chaos ~epoch pids =
     if epoch <= 1 then
@@ -508,13 +501,10 @@ let test_async_chaos_equals_barrier () =
       | Some (_, pid) -> Unix.kill pid Sys.sigkill
       | None -> ()
   in
-  let out =
-    run ~forked:true ~mode:S.Coordinator.Async ~chaos
-      (S.Coordinator.initial cfg)
-  in
+  let out = run ~forked:true ~chaos (S.Coordinator.initial cfg) in
   Alcotest.(check bool) "deaths were recovered" true
     (out.S.Coordinator.respawns >= 1);
-  Alcotest.(check string) "chaos async == clean barrier"
+  Alcotest.(check string) "chaos async == in-process"
     (S.Shard_state.digest baseline.S.Checkpoint.state)
     (S.Shard_state.digest out.S.Coordinator.final.S.Checkpoint.state)
 
@@ -578,9 +568,52 @@ let test_checkpoint_rejects_truncation () =
   (match S.Checkpoint.of_string (tgt ()) (Bytes.to_string bumped) with
   | exception S.Checkpoint.Malformed _ -> ()
   | _ -> Alcotest.fail "accepted unknown format version");
-  match S.Checkpoint.of_string (tgt ()) (s ^ "x") with
+  (match S.Checkpoint.of_string (tgt ()) (s ^ "x") with
   | exception S.Checkpoint.Malformed _ -> ()
-  | _ -> Alcotest.fail "accepted trailing bytes"
+  | _ -> Alcotest.fail "accepted trailing bytes");
+  (* Hostile coverage ids: one far past every allocated branch id
+     (would size the bitset to it), and two of max_int (would overflow
+     the delta-encoded running sum). Both must surface as the typed
+     error, from a bare state and from a checkpoint, before any large
+     allocation. *)
+  let hostile_state deltas =
+    let buf = Buffer.create 32 in
+    S.Wire.put_int buf (n_syscalls ());
+    S.Wire.put_int buf 0;
+    S.Wire.put_int buf (List.length deltas);
+    List.iter (S.Wire.put_int buf) deltas;
+    List.iter (S.Wire.put_int buf) [ 0; 0; 0 ];
+    Buffer.contents buf
+  in
+  let incr_len =
+    String.length
+      (S.Shard_state.to_string
+         (S.Shard_state.diff ~since:ck.S.Checkpoint.prev ck.S.Checkpoint.state))
+  in
+  let header = String.sub s 0 (String.length s - incr_len) in
+  let rejects what parse is_typed blob =
+    let before = Gc.allocated_bytes () in
+    (match parse blob with
+    | exception e when is_typed e -> ()
+    | exception e ->
+      Alcotest.fail (Printf.sprintf "%s: raised %s" what (Printexc.to_string e))
+    | _ -> Alcotest.fail (Printf.sprintf "%s: accepted" what));
+    let allocated = Gc.allocated_bytes () -. before in
+    if allocated >= 1e6 then
+      Alcotest.fail (Printf.sprintf "%s: allocated %.0f bytes" what allocated)
+  in
+  List.iter
+    (fun (what, deltas) ->
+      let blob = hostile_state deltas in
+      rejects (what ^ " state")
+        (S.Shard_state.of_string (tgt ()))
+        (function S.Shard_state.Malformed _ -> true | _ -> false)
+        blob;
+      rejects (what ^ " checkpoint")
+        (S.Checkpoint.of_string (tgt ()))
+        (function S.Checkpoint.Malformed _ -> true | _ -> false)
+        (header ^ blob))
+    [ ("id 2^30", [ 1 lsl 30 ]); ("two max_int ids", [ max_int; max_int ]) ]
 
 let test_checkpoint_midwrite_crash () =
   with_tmpdir @@ fun dir ->
@@ -625,9 +658,9 @@ let suite =
       case "forked == sequential" test_forked_equals_sequential;
       case "interrupted + resumed == uninterrupted" test_interrupted_resume;
       case "worker death: respawn, same results" test_worker_death_respawn;
-      case "pipelined == barrier == sequential" test_async_equals_barrier;
+      case "pipelined 3x4 == sequential" test_pipelined_equals_sequential;
       case "chaos kills leave the async digest fixed"
-        test_async_chaos_equals_barrier;
+        test_chaos_equals_inprocess;
       case "incremental frames reject corruption"
         test_incremental_frames_reject_corruption;
       case "checkpoint roundtrip" test_checkpoint_roundtrip;
