@@ -2,7 +2,7 @@ module Rng = Healer_util.Rng
 module Prog = Healer_executor.Prog
 module Serializer = Healer_executor.Serializer
 
-type entry = { prog : Prog.t; weight : int }
+type entry = { prog : Prog.t; key : string; weight : int }
 
 type t = {
   target : Healer_syzlang.Target.t;
@@ -12,8 +12,8 @@ type t = {
 }
 
 let create target =
-  { target; entries = Array.make 64 { prog = Prog.empty; weight = 0 }; count = 0;
-    keys = Hashtbl.create 256 }
+  { target; entries = Array.make 64 { prog = Prog.empty; key = ""; weight = 0 };
+    count = 0; keys = Hashtbl.create 256 }
 
 let grow t =
   if t.count = Array.length t.entries then begin
@@ -22,21 +22,24 @@ let grow t =
     t.entries <- bigger
   end
 
-let add t prog ~new_blocks =
-  if Prog.length prog = 0 then false
+(* Dedup on a 16-byte digest of the canonical encoding instead of
+   retaining the whole encoded string per entry. The entry keeps the
+   digest, so a consumer that keys programs the same way (the service's
+   shard state) does not encode them again. *)
+let key prog = Digest.string (Serializer.encode prog)
+
+let add_keyed t key prog ~new_blocks =
+  if Hashtbl.mem t.keys key then false
   else begin
-    (* Dedup on a 16-byte digest of the canonical encoding instead of
-       retaining the whole encoded string per entry. *)
-    let key = Digest.string (Serializer.encode prog) in
-    if Hashtbl.mem t.keys key then false
-    else begin
-      Hashtbl.add t.keys key ();
-      grow t;
-      t.entries.(t.count) <- { prog; weight = max 1 new_blocks };
-      t.count <- t.count + 1;
-      true
-    end
+    Hashtbl.add t.keys key ();
+    grow t;
+    t.entries.(t.count) <- { prog; key; weight = max 1 new_blocks };
+    t.count <- t.count + 1;
+    true
   end
+
+let add t prog ~new_blocks =
+  Prog.length prog > 0 && add_keyed t (key prog) prog ~new_blocks
 
 let size t = t.count
 let is_empty t = t.count = 0
@@ -45,7 +48,7 @@ let merge_into ~dst src =
   let fresh = ref 0 in
   for i = 0 to src.count - 1 do
     let e = src.entries.(i) in
-    if add dst e.prog ~new_blocks:e.weight then incr fresh
+    if add_keyed dst e.key e.prog ~new_blocks:e.weight then incr fresh
   done;
   !fresh
 
@@ -86,4 +89,10 @@ let frac_len_at_least t n =
 let iter f t =
   for i = 0 to t.count - 1 do
     f t.entries.(i).prog
+  done
+
+let iter_keyed f t =
+  for i = 0 to t.count - 1 do
+    let e = t.entries.(i) in
+    f e.key e.prog
   done

@@ -8,6 +8,10 @@ type t
 
 val create : Healer_syzlang.Target.t -> t
 
+val key : Healer_executor.Prog.t -> string
+(** The dedup key: a 16-byte digest of the canonical encoding
+    ({!Healer_executor.Serializer.encode}). *)
+
 val add : t -> Healer_executor.Prog.t -> new_blocks:int -> bool
 (** False if the program was already present. Empty programs are
     rejected. *)
@@ -34,3 +38,8 @@ val frac_len_at_least : t -> int -> float
 (** Fraction of corpus programs with at least that many calls. *)
 
 val iter : (Healer_executor.Prog.t -> unit) -> t -> unit
+(** In insertion order. *)
+
+val iter_keyed : (string -> Healer_executor.Prog.t -> unit) -> t -> unit
+(** {!iter} with each program's {!key}, computed once when it was
+    added. *)

@@ -14,28 +14,29 @@ type run_result = {
 
 let skipped = { retval = -1L; errno = None; cov = []; executed = false }
 
-(* Resolve a symbolic value to a runtime argument. [results] holds the
-   return values of already-executed calls; a reference to a failed
-   call degrades to -1, which is how a real executor passes along an
-   invalid resource. *)
-let rec resolve results (v : Value.t) : K.Arg.t =
+(* Resolve a symbolic value to a runtime argument. [out] holds the
+   results so far: executed calls up to the current one, [skipped]
+   after it. A reference to a failed or unexecuted call degrades to
+   -1, which is how a real executor passes along an invalid resource.
+   (A crashed call's slot is never read: the crash ends the run.) *)
+let rec resolve out (v : Value.t) : K.Arg.t =
   match v with
   | Value.Int x -> K.Arg.Int x
   | Value.Res_special x -> K.Arg.Int x
   | Value.Res_ref i ->
     let x =
-      if i >= 0 && i < Array.length results then
-        match results.(i) with
-        | Some { retval; errno = None; executed = true; _ } -> retval
-        | Some _ | None -> -1L
+      if i >= 0 && i < Array.length out then
+        match out.(i) with
+        | { retval; errno = None; executed = true; _ } -> retval
+        | _ -> -1L
       else -1L
     in
     K.Arg.Int x
   | Value.Str s -> K.Arg.Str s
   | Value.Buf b -> K.Arg.Buf b
-  | Value.Group vs -> K.Arg.Rec (List.map (resolve results) vs)
+  | Value.Group vs -> K.Arg.Rec (List.map (resolve out) vs)
   | Value.Ptr inner -> (
-    match resolve results inner with
+    match resolve out inner with
     | K.Arg.Rec _ as r -> r
     | K.Arg.Str _ as s -> s
     | K.Arg.Buf _ as b -> b
@@ -47,7 +48,6 @@ let rec resolve results (v : Value.t) : K.Arg.t =
 let run ?fault_call ?(fresh_state = true) ?cov kernel (p : Prog.t) =
   let kernel = if fresh_state then K.Kernel.reboot kernel else kernel in
   let n = Prog.length p in
-  let results = Array.make n None in
   let out = Array.make n skipped in
   (* Callers on the hot path (the VM pool) pass a long-lived collector
      so steady-state execution allocates no per-run dedup state. *)
@@ -58,21 +58,18 @@ let run ?fault_call ?(fresh_state = true) ?cov kernel (p : Prog.t) =
   while (not !stop) && !i < n do
     let idx = !i in
     let c = Prog.call p idx in
-    let args = List.map (resolve results) c.Prog.args in
+    let args = List.map (resolve out) c.Prog.args in
     let fault = fault_call = Some idx in
     K.Coverage.reset cov;
     (try
        let r = K.Kernel.exec_call kernel ~fault ~cov c.Prog.syscall args in
-       let cr =
+       out.(idx) <-
          {
            retval = r.K.Ctx.ret;
            errno = r.K.Ctx.err;
            cov = K.Coverage.blocks cov;
            executed = true;
          }
-       in
-       out.(idx) <- cr;
-       results.(idx) <- Some cr
      with K.Crash.Crash { bug_key; risk } ->
        let call_name = c.Prog.syscall.Healer_syzlang.Syscall.name in
        out.(idx) <-

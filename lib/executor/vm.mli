@@ -1,9 +1,9 @@
 (** A virtual-machine instance: the QEMU analogue.
 
     Owns a booted kernel and its lifecycle: executing a crashing test
-    case leaves the VM in a crashed state, and it must be reset
-    (rebooted) before the next execution — the campaign engine charges
-    boot time for that, as a real fuzzer pays for QEMU restarts. *)
+    case leaves the VM in a crashed state, and it must be reset before
+    the next execution — the campaign engine charges boot time for
+    that, as a real fuzzer pays for QEMU restarts. *)
 
 type stats = {
   mutable execs : int;
@@ -25,8 +25,9 @@ val id : t -> int
 val crashed : t -> bool
 
 val reset : t -> unit
-(** Reboot after a crash (no-op on a healthy VM; counted only when it
-    follows a crash). *)
+(** Recover from a crash: clears {!crashed} and counts the reset
+    (no-op on a healthy VM). No reboot is needed here, because every
+    {!run} executes on a freshly booted kernel. *)
 
 val run : t -> ?fault_call:int -> Prog.t -> Exec.run_result
 (** Execute a program. Automatically {!reset}s first when the previous

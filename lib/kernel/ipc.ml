@@ -34,15 +34,14 @@ let s_ipc = Effect.slot "ipc"
 let s_fd_eventfd = Effect.slot "fd:eventfd"
 let s_fd_timerfd = Effect.slot "fd:timerfd"
 
-let init st =
-  State.set_global st "ipc"
-    (Ipc { shms = Hashtbl.create 8; sems = Hashtbl.create 8; msgs = Hashtbl.create 8 })
-
 let ipc_of st =
   State.record_read st s_ipc;
   match State.global st "ipc" with
   | Some (Ipc t) -> t
-  | Some _ | None -> failwith "ipc: state not initialized"
+  | Some _ | None ->
+    let t = { shms = Hashtbl.create 8; sems = Hashtbl.create 8; msgs = Hashtbl.create 8 } in
+    State.set_global st "ipc" (Ipc t);
+    t
 
 let fresh_id st = Int64.of_int (State.incr_counter st "ipc.next_id")
 
@@ -396,7 +395,7 @@ let sub =
   let l = Subsystem.locked [ ipc_ids ] in
   let w = Lock.scoped [ "ipc_ids" ] ~touches:[ "ipc" ] in
   let wt = Lock.scoped [ "ipc_ids" ] ~touches:[ "fd:timerfd" ] in
-  Subsystem.make ~name:"ipc" ~descriptions ~init
+  Subsystem.make ~name:"ipc" ~descriptions
     ~handlers:
       [
         ("eventfd", h_eventfd);

@@ -18,14 +18,13 @@ let blk = Coverage.region ~name:"jfs" ~size:256
 let c ctx o = Ctx.cover ctx (blk + o)
 let race_window = 2
 
-let init st =
-  State.set_global st "journal"
-    (Journal { committing_at = 0; fc_commit_at = 0; dirty_handles = 0 })
-
 let journal_of st =
   match State.global st "journal" with
   | Some (Journal j) -> j
-  | Some _ | None -> failwith "jfs: state not initialized"
+  | Some _ | None ->
+    let j = { committing_at = 0; fc_commit_at = 0; dirty_handles = 0 } in
+    State.set_global st "journal" (Journal j);
+    j
 
 let in_window st at = at > 0 && State.now st - at <= race_window
 
@@ -152,7 +151,7 @@ ioctl$EXT4_IOC_FC_COMMIT(fd fd_ext4, cmd const[0x6615])
 |}
 
 let sub =
-  Subsystem.make ~name:"jfs" ~descriptions ~init
+  Subsystem.make ~name:"jfs" ~descriptions
     ~handlers:
       [
         ("open$ext4", h_open_ext4);

@@ -103,10 +103,10 @@ let subsystem_of name =
   | Some s -> s
   | None -> "?"
 
+(* Subsystems create their state on first touch (see subsystem.mli),
+   so a boot is only the empty state tables. *)
 let boot ?(san = Sanitizer.default) ?(features = []) ~version () =
-  let st = State.create ~version in
-  List.iter (fun (s : Subsystem.t) -> s.init st) (subsystems ());
-  { st; san; features }
+  { st = State.create ~version; san; features }
 
 let reboot k = boot ~san:k.san ~features:k.features ~version:(State.version k.st) ()
 

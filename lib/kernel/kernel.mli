@@ -43,9 +43,11 @@ val boot :
   version:Version.t ->
   unit ->
   t
-(** Boot a fresh kernel: creates the state and runs every subsystem's
-    initializer. [features] are executor capabilities (e.g. ["usb";
-    "fault_injection"]) visible to handlers. *)
+(** Boot a fresh kernel: an empty {!State.t}. Subsystem state is
+    created when a call first touches it (see {!Subsystem}), so a boot
+    costs a few small tables whatever the program runs. [features] are
+    executor capabilities (e.g. ["usb"; "fault_injection"]) visible to
+    handlers. *)
 
 val reboot : t -> t
 (** Fresh state with the same version, sanitizer config and features. *)

@@ -20,15 +20,14 @@ let () =
     ~parties:[ "mount$ext4"; "mount$nfs"; "mount$reiserfs"; "umount"; "open" ]
     ~bug:"legitimize_mnt"
 
-let init st =
-  State.set_global st "mounts"
-    (Mounts { mounted = [ ("/mnt/ext4", "ext4") ]; last_umount = 0 })
-
 let mounts_of st =
   State.record_read st s_mounts;
   match State.global st "mounts" with
   | Some (Mounts m) -> m
-  | Some _ | None -> failwith "mounts: state not initialized"
+  | Some _ | None ->
+    let m = { mounted = [ ("/mnt/ext4", "ext4") ]; last_umount = 0 } in
+    State.set_global st "mounts" (Mounts m);
+    m
 
 (* Is a mount transition (a umount) still settling? Linux's
    legitimize_mnt checks the mount's refcount lock-free on the open
@@ -160,7 +159,7 @@ umount(dst filename["/mnt/a", "/mnt/b", "/mnt/ext4"])
 let sub =
   let l = Subsystem.locked [ namespace_sem ] in
   let w = Lock.scoped [ "namespace_sem" ] ~touches:[ "mounts" ] in
-  Subsystem.make ~name:"mounts" ~descriptions ~init
+  Subsystem.make ~name:"mounts" ~descriptions
     ~handlers:
       [
         ("mount$ext4", l h_mount_ext4);

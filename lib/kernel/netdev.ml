@@ -32,16 +32,15 @@ let () =
 let fresh name =
   { dname = name; up = false; qdisc_limit = None; last_xmit = 0; macvlan_dying = false }
 
-let init st =
-  let tbl = Hashtbl.create 8 in
-  Hashtbl.replace tbl "eth0" (fresh "eth0");
-  Hashtbl.replace tbl "lo" { (fresh "lo") with up = true };
-  State.set_global st "netdevs" (Netdevs tbl)
-
 let devs_of st =
   match State.global st "netdevs" with
   | Some (Netdevs t) -> t
-  | Some _ | None -> failwith "netdev: state not initialized"
+  | Some _ | None ->
+    let tbl = Hashtbl.create 8 in
+    Hashtbl.replace tbl "eth0" (fresh "eth0");
+    Hashtbl.replace tbl "lo" { (fresh "lo") with up = true };
+    State.set_global st "netdevs" (Netdevs tbl);
+    tbl
 
 (* State accessors for sibling subsystems (rtnetlink mutates the same
    device table that the ioctl paths manage). *)
@@ -304,7 +303,7 @@ let sub =
   let l = Subsystem.locked [ rtnl ] in
   let w = Lock.scoped [ "rtnl" ] ~touches:[ "netdevs" ] in
   let r = Lock.scoped [ "rtnl" ] in
-  Subsystem.make ~name:"netdev" ~descriptions ~init
+  Subsystem.make ~name:"netdev" ~descriptions
     ~handlers:
       [
         ("socket$packet", h_socket_packet);

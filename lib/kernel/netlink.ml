@@ -28,8 +28,15 @@ type genl_family = {
   mutable sends : int;
 }
 
+(* The family table and the runtime-id counter it draws from, one
+   global so both are created together. *)
+type genl = {
+  families : (string, genl_family) Hashtbl.t;
+  mutable next_id : int;
+}
+
 type State.fd_kind += Nl_sock of nl_sock
-type State.global += Genl_families of (string, genl_family) Hashtbl.t
+type State.global += Genl_families of genl
 type State.global += Nl_addrs of (string, int64 list) Hashtbl.t
 
 let blk = Coverage.region ~name:"netlink" ~size:512
@@ -63,28 +70,49 @@ let fresh_sock nproto =
     queued = 0;
   }
 
+(* The families registered at boot, with ids [genl_base_id] upward in
+   this order. The table is built directly on first touch, ids taken
+   from its own counter, so they do not depend on which netlink call
+   comes first and creating it records no access. *)
+let boot_families = [ "nlctrl"; "devlink"; "ethtool" ]
+
+let genl_of st =
+  match State.global st "genl_families" with
+  | Some (Genl_families g) -> g
+  | Some _ | None ->
+    let families = Hashtbl.create 4 in
+    List.iteri
+      (fun k name ->
+        Hashtbl.replace families name
+          { gname = name; gid = genl_base_id + k; registered = true; sends = 0 })
+      boot_families;
+    let g = { families; next_id = genl_base_id + List.length boot_families } in
+    State.set_global st "genl_families" (Genl_families g);
+    g
+
 let families_of st =
   State.record_read st s_genl;
-  match State.global st "genl_families" with
-  | Some (Genl_families t) -> t
-  | Some _ | None -> failwith "netlink: state not initialized"
+  (genl_of st).families
 
 let addrs_of st =
   State.record_read st s_nl_addrs;
   match State.global st "nl_addrs" with
   | Some (Nl_addrs t) -> t
-  | Some _ | None -> failwith "netlink: state not initialized"
+  | Some _ | None ->
+    let t = Hashtbl.create 4 in
+    State.set_global st "nl_addrs" (Nl_addrs t);
+    t
 
 (* Queue a reply on the socket: fd:nl_sock payload write. *)
 let enqueue st s n =
   State.record_write st s_nl_sock;
   s.queued <- s.queued + n
 
-let next_family_id st = genl_base_id - 1 + State.incr_counter st "genl_next_id"
-
-let register_family st name =
-  Hashtbl.replace (families_of st) name
-    { gname = name; gid = next_family_id st; registered = true; sends = 0 }
+let next_family_id st =
+  let g = genl_of st in
+  let id = g.next_id in
+  g.next_id <- id + 1;
+  id
 
 let family st name = Hashtbl.find_opt (families_of st) name
 
@@ -92,13 +120,6 @@ let family_by_id st id =
   Hashtbl.fold
     (fun _ f acc -> if f.gid = id && f.registered then Some f else acc)
     (families_of st) None
-
-let init st =
-  State.set_global st "genl_families" (Genl_families (Hashtbl.create 4));
-  State.set_global st "nl_addrs" (Nl_addrs (Hashtbl.create 4));
-  register_family st "nlctrl";
-  register_family st "devlink";
-  register_family st "ethtool"
 
 (* {2 Socket plumbing} *)
 
@@ -850,7 +871,7 @@ let sub =
   let rt_spec touches = Lock.scoped [ "rtnl"; "nl_sock" ] ~touches in
   let ge_spec touches = Lock.scoped [ "genl_mutex"; "nl_sock" ] ~touches in
   let sk_spec touches = Lock.scoped [ "nl_sock" ] ~touches in
-  Subsystem.make ~name:"netlink" ~descriptions ~init
+  Subsystem.make ~name:"netlink" ~descriptions
     ~handlers:
       [
         ("socket$nl_route", h_socket_route);

@@ -31,8 +31,13 @@ type genl_family = {
   mutable sends : int;
 }
 
+type genl = {
+  families : (string, genl_family) Hashtbl.t;
+  mutable next_id : int;  (** Id the next (re)registration takes. *)
+}
+
 type State.fd_kind += Nl_sock of nl_sock
-type State.global += Genl_families of (string, genl_family) Hashtbl.t
+type State.global += Genl_families of genl
 type State.global += Nl_addrs of (string, int64 list) Hashtbl.t
 
 val family : State.t -> string -> genl_family option

@@ -11,12 +11,13 @@ type State.global += Rdma_ids of (int64, cm_id) Hashtbl.t * int64 ref
 let blk = Coverage.region ~name:"rdma" ~size:256
 let c ctx o = Ctx.cover ctx (blk + o)
 
-let init st = State.set_global st "rdma" (Rdma_ids (Hashtbl.create 8, ref 1L))
-
 let ids_of st =
   match State.global st "rdma" with
   | Some (Rdma_ids (tbl, next)) -> (tbl, next)
-  | Some _ | None -> failwith "rdma: state not initialized"
+  | Some _ | None ->
+    let tbl = Hashtbl.create 8 and next = ref 1L in
+    State.set_global st "rdma" (Rdma_ids (tbl, next));
+    (tbl, next)
 
 let h_open ctx args =
   let path = Arg.as_str (Arg.nth args 1) in
@@ -175,7 +176,7 @@ ioctl$RDMA_DESTROY_ID(fd fd_rdma, cmd const[0xc0184605], id rdma_id)
 |}
 
 let sub =
-  Subsystem.make ~name:"rdma" ~descriptions ~init
+  Subsystem.make ~name:"rdma" ~descriptions
     ~handlers:
       [
         ("openat$rdma_cm", h_open);

@@ -41,13 +41,14 @@ let proto_index = function
   | Rxrpc -> 5
   | Rds -> 6
 
-let init st = State.set_global st "rxrpc" (Rxrpc_locals (Hashtbl.create 8))
-
 let rxrpc_locals st =
   State.record_read st s_rxrpc;
   match State.global st "rxrpc" with
   | Some (Rxrpc_locals t) -> t
-  | Some _ | None -> failwith "sock: state not initialized"
+  | Some _ | None ->
+    let t = Hashtbl.create 8 in
+    State.set_global st "rxrpc" (Rxrpc_locals t);
+    t
 
 let new_sock ctx proto =
   c ctx (proto_index proto);
@@ -621,7 +622,7 @@ let sub =
   let l = Subsystem.locked [ sk_lock ] in
   let w touches = Lock.scoped [ "sk_lock" ] ~touches in
   let wsk = Lock.scoped [ "sk_lock" ] ~touches:[ "fd:sock" ] in
-  Subsystem.make ~name:"sock" ~descriptions ~init
+  Subsystem.make ~name:"sock" ~descriptions
     ~handlers:
       [
         ("socket$tcp", h_socket Tcp);

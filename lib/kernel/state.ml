@@ -34,7 +34,7 @@ let create ~version =
   {
     kversion = version;
     next_fd = 3;
-    fds = Hashtbl.create 64;
+    fds = Hashtbl.create 16;
     ops = 0;
     globals = Hashtbl.create 16;
     counters = Hashtbl.create 16;
@@ -96,7 +96,6 @@ let exists_fd t pred =
 
 let set_global t name g = Hashtbl.replace t.globals name g
 let global t name = Hashtbl.find_opt t.globals name
-let global_exn t name = Hashtbl.find t.globals name
 
 let incr_counter t name =
   let v = (match Hashtbl.find_opt t.counters name with Some v -> v | None -> 0) + 1 in
@@ -107,7 +106,6 @@ let counter t name =
   match Hashtbl.find_opt t.counters name with Some v -> v | None -> 0
 
 let set_counter t name v = Hashtbl.replace t.counters name v
-let fold_counters f t init = Hashtbl.fold f t.counters init
 
 let bump_lock t slot =
   let n = Array.length t.lock_counts in

@@ -4,7 +4,8 @@
     Subsystems extend {!fd_kind} with their own object constructors
     (like [struct file] private data) and register whole-subsystem
     state (device registries, journals, console) under named {!global}
-    slots at boot. *)
+    slots. A slot is created on first touch by its subsystem's
+    accessor, not at boot (see {!Subsystem}). *)
 
 type fd_kind = ..
 (** Extended by each subsystem, e.g. [State.fd_kind += Memfd of memfd]. *)
@@ -24,6 +25,9 @@ type global = ..
 type t
 
 val create : version:Version.t -> t
+(** A fresh kernel: no descriptors, no globals, counters at zero.
+    Every execution starts from one, so it is kept cheap. *)
+
 val version : t -> Version.t
 
 val tick : t -> int
@@ -65,8 +69,7 @@ val exists_fd : t -> (fd_entry -> bool) -> bool
 
 val set_global : t -> string -> global -> unit
 val global : t -> string -> global option
-val global_exn : t -> string -> global
-(** Raises [Not_found]. *)
+(** [None] until the owning subsystem's accessor first runs. *)
 
 (** {2 Named counters}
 
@@ -78,10 +81,6 @@ val incr_counter : t -> string -> int
 
 val counter : t -> string -> int
 val set_counter : t -> string -> int -> unit
-
-val fold_counters : (string -> int -> 'a -> 'a) -> t -> 'a -> 'a
-(** Fold over every named counter (unspecified order — sort for
-    deterministic output). *)
 
 (** {2 Lock-acquisition counters}
 

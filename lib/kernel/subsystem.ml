@@ -9,24 +9,15 @@ type file_op = {
 type t = {
   name : string;
   descriptions : string;
-  init : State.t -> unit;
   handlers : (string * handler) list;
   file_ops : file_op list;
   locks : (string * Lock.spec) list;
   effects : (string * Effect.spec) list;
 }
 
-let make ?(init = fun _ -> ()) ?(handlers = []) ?(file_ops = []) ?(locks = [])
-    ?(effects = []) ~name ~descriptions () =
-  {
-    name;
-    descriptions;
-    init;
-    handlers;
-    file_ops;
-    locks;
-    effects;
-  }
+let make ?(handlers = []) ?(file_ops = []) ?(locks = []) ?(effects = []) ~name
+    ~descriptions () =
+  { name; descriptions; handlers; file_ops; locks; effects }
 
 let locked classes h ctx args =
   let rec go = function

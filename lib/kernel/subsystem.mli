@@ -1,8 +1,22 @@
 (** Subsystem plumbing: each simulated kernel subsystem bundles its
-    Syzlang descriptions, an initializer for its global state, exact
-    handlers for its specialized syscalls, and optional implementations
-    of the generic file operations ([read]/[write]/[mmap]/[ftruncate]
-    ...), mirroring Linux's [file_operations] dispatch. *)
+    Syzlang descriptions, exact handlers for its specialized syscalls,
+    and optional implementations of the generic file operations
+    ([read]/[write]/[mmap]/[ftruncate] ...), mirroring Linux's
+    [file_operations] dispatch.
+
+    {2 Subsystem state}
+
+    Boot runs no subsystem code: a fresh kernel is only an empty
+    {!State.t}. A subsystem keeps its whole-subsystem state (device
+    tables, journals, the console) in a {!State.global} slot that its
+    one accessor ([fs_of], [devs_of], [console_of] ...) creates on
+    first touch, in the state boot used to install. Creation follows
+    Eraser's initialization-phase rule: it does not tick the operation
+    counter, allocate descriptors, take locks or record effect
+    accesses, because nothing but the accessor can reach the state
+    yet. So a program observes the same kernel whether a slot was made
+    at boot or at its first access, and a reboot costs only what the
+    program goes on to touch. *)
 
 type handler = Ctx.t -> Arg.t list -> Ctx.result
 
@@ -15,7 +29,6 @@ type file_op = {
 type t = {
   name : string;
   descriptions : string;  (** Syzlang source for this subsystem. *)
-  init : State.t -> unit;  (** Install global state at boot. *)
   handlers : (string * handler) list;  (** Exact syscall-name handlers. *)
   file_ops : file_op list;
   locks : (string * Lock.spec) list;
@@ -33,7 +46,6 @@ type t = {
 }
 
 val make :
-  ?init:(State.t -> unit) ->
   ?handlers:(string * handler) list ->
   ?file_ops:file_op list ->
   ?locks:(string * Lock.spec) list ->

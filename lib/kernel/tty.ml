@@ -26,14 +26,13 @@ let c ctx o = Ctx.cover ctx (blk + o)
 let n_gsm = 21
 let vcs_columns = 80 * 25
 
-let init st =
-  State.set_global st "console"
-    (Console { writes = 0; active_vt = 1; deallocated = false; vt_switches = 0 })
-
 let console_of st =
   match State.global st "console" with
   | Some (Console con) -> con
-  | Some _ | None -> failwith "tty: state not initialized"
+  | Some _ | None ->
+    let con = { writes = 0; active_vt = 1; deallocated = false; vt_switches = 0 } in
+    State.set_global st "console" (Console con);
+    con
 
 let fresh_tty tkind =
   {
@@ -345,7 +344,7 @@ syslog(cmd int32[0:10], buf buffer[out], length len[buf])
 let applies_tty = function Tty _ -> true | _ -> false
 
 let sub =
-  Subsystem.make ~name:"tty" ~descriptions ~init
+  Subsystem.make ~name:"tty" ~descriptions
     ~handlers:
       [
         ("openat$ptmx", h_open Ptmx);

@@ -66,21 +66,20 @@ let fs_of st =
   State.record_read st s_fs;
   match State.global st "fs" with
   | Some (Fs fs) -> fs
-  | Some _ | None -> failwith "vfs: state not initialized"
-
-let init st =
-  let fs =
-    {
-      inodes = Hashtbl.create 16;
-      aio = Hashtbl.create 8;
-      next_aio = 1L;
-      chr = { registered = false; opens = 0; active = false };
-    }
-  in
-  (* Files that exist at boot. *)
-  Hashtbl.replace fs.inodes "/etc/passwd"
-    { size = 2048L; nlink = 1; exists = true; last_stat = 0; open_fds = 0; is_dir = false; locked_ex = false };
-  State.set_global st "fs" (Fs fs)
+  | Some _ | None ->
+    let fs =
+      {
+        inodes = Hashtbl.create 16;
+        aio = Hashtbl.create 8;
+        next_aio = 1L;
+        chr = { registered = false; opens = 0; active = false };
+      }
+    in
+    (* Files that exist at boot. *)
+    Hashtbl.replace fs.inodes "/etc/passwd"
+      { size = 2048L; nlink = 1; exists = true; last_stat = 0; open_fds = 0; is_dir = false; locked_ex = false };
+    State.set_global st "fs" (Fs fs);
+    fs
 
 let inode fs path = Hashtbl.find_opt fs.inodes path
 
@@ -1075,7 +1074,7 @@ let sub =
   let ep = Subsystem.locked [ ep_mutex ] in
   let w touches = Lock.scoped [ "vfs_files" ] ~touches in
   let ep_spec = Lock.scoped [ "ep_mutex" ] ~touches:[ "fd:epoll" ] in
-  Subsystem.make ~name:"vfs" ~descriptions ~init
+  Subsystem.make ~name:"vfs" ~descriptions
     ~handlers:
       [
         ("open", l h_open);

@@ -18,10 +18,11 @@ type t = {
   execs : (int * int) list;
 }
 
-(* Corpus entries dedup on a 16-byte digest of the canonical encoding;
-   the full serialized form is recomputed only when a state crosses
-   the wire, not retained per entry in memory. *)
-let corpus_key p = Digest.string (Serializer.encode p)
+(* Corpus entries dedup on the fuzzer corpus's own key, a 16-byte
+   digest of the canonical encoding; the full serialized form is
+   recomputed only when a state crosses the wire, not retained per
+   entry in memory. *)
+let corpus_key = Healer_core.Corpus.key
 
 let empty ~n_syscalls =
   {

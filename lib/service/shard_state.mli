@@ -40,7 +40,8 @@ type t = {
 (** Treat values as immutable: [merge] never mutates its inputs. *)
 
 val corpus_key : Healer_executor.Prog.t -> string
-(** The corpus dedup key: a 16-byte digest of the canonical encoding. *)
+(** The corpus dedup key, {!Healer_core.Corpus.key}: a 16-byte digest
+    of the canonical encoding. *)
 
 val empty : n_syscalls:int -> t
 val of_target : Healer_syzlang.Target.t -> t

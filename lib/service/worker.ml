@@ -28,10 +28,9 @@ let run_epoch (cfg : Checkpoint.config) ~shard ~epoch (g : Shard_state.t) =
      times so first_found is campaign-global and the earliest-wins
      merge rule compares like with like. *)
   let epoch_start = float_of_int epoch *. cfg.slice in
+  (* The corpus already keyed every program when it was added. *)
   let corpus = ref [] in
-  Corpus.iter
-    (fun p -> corpus := (Shard_state.corpus_key p, p) :: !corpus)
-    (Fuzzer.corpus f);
+  Corpus.iter_keyed (fun key p -> corpus := (key, p) :: !corpus) (Fuzzer.corpus f);
   let relations =
     match Fuzzer.relations f with
     | Some r -> Relation_table.copy r

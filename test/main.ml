@@ -35,4 +35,5 @@ let () =
       ("properties", Test_properties.suite);
       ("lockdep", Test_lockdep.suite);
       ("effects", Test_effects.suite);
+      ("reboot", Test_reboot.suite);
     ]

@@ -1,0 +1,168 @@
+(* The per-execution reboot: what a fresh kernel holds, what an
+   execution returns, and what it allocates.
+
+   Every execution boots a pristine kernel (the executor's
+   fork-per-test-case). Subsystem state is created on first touch, so
+   the reboot is only the state tables; these tests pin that the
+   results are the same as when every subsystem was set up at boot. *)
+
+module Target = Healer_syzlang.Target
+module K = Healer_kernel
+module Exec = Healer_executor.Exec
+module Vm = Healer_executor.Vm
+module Progcheck = Healer_executor.Progcheck
+module Rng = Healer_util.Rng
+module Nl = Test_kernel_netlink
+open Healer_core
+open Helpers
+
+(* ---- exec golden ---- *)
+
+(* Everything an execution reports: per call the return value, errno,
+   executed flag and coverage trace (in first-hit order), then the
+   crash key. *)
+let add_result b (res : Exec.run_result) =
+  Array.iter
+    (fun (cr : Exec.call_result) ->
+      Printf.bprintf b "%Ld/%s/%b/" cr.Exec.retval
+        (match cr.Exec.errno with Some e -> K.Errno.to_string e | None -> "-")
+        cr.Exec.executed;
+      List.iter (fun blk -> Printf.bprintf b "%d," blk) cr.Exec.cov;
+      Buffer.add_char b ';')
+    res.Exec.calls;
+  Printf.bprintf b "crash=%s\n"
+    (Option.value ~default:"-" (crash_key res))
+
+let golden_digest () =
+  let b = Buffer.create (1 lsl 16) in
+  List.iter
+    (fun p -> add_result b (run p))
+    (Seeds.traces (tgt ()) @ Seeds.distilled (tgt ()));
+  List.iter
+    (fun (x : Bug_repros.repro) ->
+      if x.Bug_repros.fault_call = None then
+        add_result b
+          (run ~version:x.Bug_repros.version ~features:x.Bug_repros.features
+             (x.Bug_repros.build ())))
+    Bug_repros.all;
+  let rng = Rng.create 1 in
+  for _ = 1 to 500 do
+    let p =
+      Gen.generate rng (tgt ())
+        ~select:(fun ~sub:_ -> Rng.int rng (Target.n_syscalls (tgt ())))
+        ()
+    in
+    add_result b (run p)
+  done;
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+(* Recorded when every subsystem's state was built at boot; creating
+   it on first touch must not move a single result. *)
+let test_exec_golden () =
+  Alcotest.(check string) "exec results" "c4ebb6c24131344f36c6173cfa04f9d9"
+    (golden_digest ())
+
+(* ---- lazy boot ---- *)
+
+let global_names =
+  [
+    "fs"; "ipc"; "genl_families"; "nl_addrs"; "netdevs"; "mounts";
+    "journal"; "rdma"; "rxrpc"; "console";
+  ]
+
+let present st = List.filter (fun n -> K.State.global st n <> None) global_names
+
+let test_boot_is_empty () =
+  let k = boot () in
+  Alcotest.(check (list string)) "fresh boot" [] (present (K.Kernel.state k));
+  let k, res =
+    Exec.run ~fresh_state:false k
+      (prog [ call "open" [ s "/etc/passwd"; i 0L; i 0L ] ])
+  in
+  check_ok "open" res.Exec.calls.(0);
+  Alcotest.(check (list string)) "after open" [ "fs" ]
+    (present (K.Kernel.state k));
+  Alcotest.(check (list string)) "reboot" []
+    (present (K.Kernel.state (K.Kernel.reboot k)))
+
+let getfamily fd name =
+  call "sendmsg$GETFAMILY" [ r fd; Nl.getfamily_msg name; i 0L ]
+
+(* The boot families keep the ids registration at boot gave them
+   (nlctrl, devlink, ethtool = base, base+1, base+2), whichever
+   netlink message reaches the families first and in whatever order
+   they are looked up. *)
+let check_boot_ids what ~first =
+  let n = List.length first in
+  let res =
+    run
+      (prog
+         (first
+         @ [
+             Nl.nl_generic ();
+             getfamily n "ethtool";
+             getfamily n "devlink";
+             getfamily n "nlctrl";
+           ]))
+  in
+  check_crash (what ^ ": no crash") None res;
+  List.iteri
+    (fun k (name, id) ->
+      Alcotest.(check int64) (what ^ ": " ^ name) id
+        res.Exec.calls.(n + 1 + k).Exec.retval)
+    [ ("ethtool", 0x12L); ("devlink", 0x11L); ("nlctrl", 0x10L) ]
+
+let test_genl_ids () =
+  check_boot_ids "genl first" ~first:[];
+  check_boot_ids "rtm first"
+    ~first:[ Nl.nl_route (); Nl.newlink 0 [ Nl.ifname_attr "dummy0" ] ];
+  (* A reload takes the next id after the three boot families. *)
+  let res =
+    run
+      (prog
+         [
+           Nl.nl_generic ();
+           call "sendmsg$devlink_reload" [ r 0; i 0x11L; Nl.genl_msg (); i 0L ];
+           getfamily 0 "ethtool";
+         ])
+  in
+  Alcotest.(check int64) "reload id" 0x13L res.Exec.calls.(1).Exec.retval;
+  Alcotest.(check int64) "ethtool after reload" 0x12L
+    res.Exec.calls.(2).Exec.retval
+
+(* ---- allocation gate ---- *)
+
+(* Mean minor-heap words one [Vm.run] allocates over the seed corpus,
+   measured on the production path (debug validation off: it records a
+   trace per call). The mean is exact for this corpus: about 560 words
+   with state created on first touch, about 1,000 when every boot set
+   up all subsystems and a crash triggered a second reboot. The bound
+   leaves a quarter of headroom and fails the eager boot. *)
+let words_per_run_bound = 700.0
+
+let test_alloc_gate () =
+  let progs = Seeds.traces (tgt ()) @ Seeds.distilled (tgt ()) in
+  let vm = Vm.create ~version:K.Version.V5_11 ~id:0 () in
+  let was = Progcheck.debug_enabled () in
+  Progcheck.set_debug false;
+  let words =
+    Fun.protect
+      ~finally:(fun () -> Progcheck.set_debug was)
+      (fun () ->
+        (* One warm-up pass settles the lazily built process globals. *)
+        List.iter (fun p -> ignore (Vm.run vm p)) progs;
+        let before = Gc.minor_words () in
+        List.iter (fun p -> ignore (Vm.run vm p)) progs;
+        Gc.minor_words () -. before)
+  in
+  let mean = words /. float_of_int (List.length progs) in
+  if mean >= words_per_run_bound then
+    Alcotest.failf "%.0f words per Vm.run (bound %.0f)" mean words_per_run_bound
+
+let suite =
+  [
+    case "exec golden" test_exec_golden;
+    case "boot holds no subsystem state" test_boot_is_empty;
+    case "genl boot ids on first touch" test_genl_ids;
+    case "allocation per run" test_alloc_gate;
+  ]

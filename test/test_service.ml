@@ -373,6 +373,25 @@ let test_worker_deterministic () =
     (S.Shard_state.delta_to_string d1)
     (S.Shard_state.delta_to_string d2)
 
+(* The harvest reuses the keys the fuzzer's corpus computed when each
+   program was added (also across [Corpus.merge_into]); each must still
+   be the digest of the program's encoding. *)
+let test_harvest_keys () =
+  let key_ok (k, p) = k = Digest.string (Serializer.encode p) in
+  let d =
+    S.Worker.run_epoch (small_cfg ()) ~shard:0 ~epoch:0
+      (S.Shard_state.of_target (tgt ()))
+  in
+  let harvested = d.S.Shard_state.outcome.S.Shard_state.corpus in
+  Alcotest.(check bool) "harvest is non-empty" true (harvested <> []);
+  Alcotest.(check bool) "harvest keys" true (List.for_all key_ok harvested);
+  let merged = Corpus.create (tgt ()) in
+  ignore (Corpus.merge_into ~dst:merged (corpus_of (List.map snd harvested)));
+  let kept = ref [] in
+  Corpus.iter_keyed (fun k p -> kept := (k, p) :: !kept) merged;
+  Alcotest.(check int) "merged size" (List.length harvested) (List.length !kept);
+  Alcotest.(check bool) "merged keys" true (List.for_all key_ok !kept)
+
 let test_fold_order_irrelevant () =
   let cfg = small_cfg () in
   let g = S.Shard_state.of_target (tgt ()) in
@@ -653,6 +672,7 @@ let suite =
       case "wire rejects unknown tags" test_wire_rejects_garbage;
       case "wire payload bound" test_wire_payload_bound;
       case "worker epoch is deterministic" test_worker_deterministic;
+      case "harvest reuses corpus keys" test_harvest_keys;
       case "delta fold order is irrelevant" test_fold_order_irrelevant;
       case "delta roundtrip" test_delta_roundtrip;
       case "forked == sequential" test_forked_equals_sequential;
