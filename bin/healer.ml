@@ -99,6 +99,7 @@ let run_fuzz tool version hours seed load_rel save_rel load_corp save_corp =
     match load_corp with
     | Some path ->
       or_die (fun () -> Persist.load_corpus (Healer_kernel.Kernel.target ()) ~path)
+      |> List.map (fun p -> (Corpus.key p, p))
     | None -> []
   in
   let f = Fuzzer.create ?initial_relations ~initial_seeds cfg in

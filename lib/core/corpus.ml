@@ -2,13 +2,14 @@ module Rng = Healer_util.Rng
 module Prog = Healer_executor.Prog
 module Serializer = Healer_executor.Serializer
 
-type entry = { prog : Prog.t; key : string; weight : int }
+type key = string
+type entry = { prog : Prog.t; key : key; weight : int }
 
 type t = {
   target : Healer_syzlang.Target.t;
   mutable entries : entry array;
   mutable count : int;
-  keys : (string, unit) Hashtbl.t;
+  keys : (key, unit) Hashtbl.t;
 }
 
 let create target =
@@ -38,8 +39,9 @@ let add_keyed t key prog ~new_blocks =
     true
   end
 
-let add t prog ~new_blocks =
-  Prog.length prog > 0 && add_keyed t (key prog) prog ~new_blocks
+let add t ?key:k prog ~new_blocks =
+  Prog.length prog > 0
+  && add_keyed t (match k with Some k -> k | None -> key prog) prog ~new_blocks
 
 let size t = t.count
 let is_empty t = t.count = 0

@@ -8,13 +8,16 @@ type t
 
 val create : Healer_syzlang.Target.t -> t
 
-val key : Healer_executor.Prog.t -> string
+type key = string
+
+val key : Healer_executor.Prog.t -> key
 (** The dedup key: a 16-byte digest of the canonical encoding
     ({!Healer_executor.Serializer.encode}). *)
 
-val add : t -> Healer_executor.Prog.t -> new_blocks:int -> bool
+val add : t -> ?key:key -> Healer_executor.Prog.t -> new_blocks:int -> bool
 (** False if the program was already present. Empty programs are
-    rejected. *)
+    rejected. [key], when given, must be the program's {!key}; the
+    program is then not encoded again. *)
 
 val size : t -> int
 
@@ -40,6 +43,6 @@ val frac_len_at_least : t -> int -> float
 val iter : (Healer_executor.Prog.t -> unit) -> t -> unit
 (** In insertion order. *)
 
-val iter_keyed : (string -> Healer_executor.Prog.t -> unit) -> t -> unit
+val iter_keyed : (key -> Healer_executor.Prog.t -> unit) -> t -> unit
 (** {!iter} with each program's {!key}, computed once when it was
     added. *)

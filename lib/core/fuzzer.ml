@@ -73,6 +73,19 @@ let features_of = function
   | Healer | Healer_minus -> [ "fault_injection" ]
   | Syzkaller | Moonshine -> [ "usb" ]
 
+module Memo = struct
+  type t = {
+    version : Healer_kernel.Version.t;
+    features : string list;
+    results : (Corpus.key, Exec.run_result) Hashtbl.t;
+  }
+
+  let create ~tool ~version =
+    { version; features = features_of tool; results = Hashtbl.create 256 }
+
+  let size m = Hashtbl.length m.results
+end
+
 type t = {
   cfg : config;
   tgt : Target.t;
@@ -125,7 +138,12 @@ let charge t prog r =
 let exec_prog t ?fault_call prog = charge t prog (Pool.run t.pool ?fault_call prog)
 let exec_plain t prog = exec_prog t prog
 
-let create ?initial_relations ?(initial_seeds = []) cfg =
+let create ?initial_relations ?(initial_seeds = []) ?memo cfg =
+  Option.iter
+    (fun (m : Memo.t) ->
+      if m.version <> cfg.version || m.features <> features_of cfg.tool then
+        invalid_arg "Fuzzer.create: memo bound to another version or features")
+    memo;
   let tgt = Kernel.target () in
   let rng = Rng.create cfg.seed in
   let clock = Vclock.create () in
@@ -180,17 +198,34 @@ let create ?initial_relations ?(initial_seeds = []) cfg =
   | Some table, Some saved -> ignore (Relation_table.merge_into ~dst:table saved)
   | _ -> ());
   (* Seed ingestion: Moonshine's distilled corpus, plus any caller
-     provided programs (e.g. a corpus archive from a prior campaign). *)
+     provided programs (e.g. a corpus archive from a prior campaign).
+     A seed's result depends only on the program, the version and the
+     features (every run boots a fresh kernel), so a memo hit skips
+     the execution and nothing else. *)
+  let run_seed key seed =
+    match memo with
+    | None -> Pool.run t.pool seed
+    | Some m -> (
+      match Hashtbl.find_opt m.Memo.results key with
+      | Some r -> r
+      | None ->
+        let r = Pool.run t.pool seed in
+        Hashtbl.add m.Memo.results key r;
+        r)
+  in
   let seeds =
-    (if cfg.tool = Moonshine then Seeds.distilled tgt else []) @ initial_seeds
+    (if cfg.tool = Moonshine then
+       List.map (fun p -> (Corpus.key p, p)) (Seeds.distilled tgt)
+     else [])
+    @ initial_seeds
   in
   List.iter
-    (fun seed ->
-      let r = exec_plain t seed in
+    (fun (key, seed) ->
+      let r = charge t seed (run_seed key seed) in
       let new_cov = Feedback.process t.feedback r in
       if r.Exec.crash = None && Feedback.is_interesting new_cov then begin
         let total_new = Array.fold_left (fun a l -> a + List.length l) 0 new_cov in
-        if Corpus.add t.corp seed ~new_blocks:total_new then
+        if Corpus.add t.corp ~key seed ~new_blocks:total_new then
           Option.iter (fun ct -> Choice_table.note_corpus_program ct seed) t.choice
       end)
     seeds;

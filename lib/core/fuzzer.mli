@@ -59,18 +59,39 @@ val config :
   unit ->
   config
 
+(** Seed results kept across fuzzer instances. Every execution boots
+    a fresh kernel, so a program's {!Healer_executor.Exec.run_result}
+    depends only on the program, the kernel version and the executor
+    features. A memo maps the {!Corpus.key} of each seed {!create}
+    ingested to its result; with or without it, {!create} builds the
+    same fuzzer. It holds one entry per distinct seed, never evicted. *)
+module Memo : sig
+  type t
+
+  val create : tool:tool -> version:Healer_kernel.Version.t -> t
+  (** An empty memo for [version] and [tool]'s executor features. *)
+
+  val size : t -> int
+end
+
 type t
 
 val create :
   ?initial_relations:Relation_table.t ->
-  ?initial_seeds:Healer_executor.Prog.t list ->
+  ?initial_seeds:(Corpus.key * Healer_executor.Prog.t) list ->
+  ?memo:Memo.t ->
   config ->
   t
 (** Builds the tool-specific machinery and, for [Moonshine], executes
     and ingests the distilled seed corpus. [initial_relations] (HEALER
     only) merges a previously saved relation table into the fresh one
     (the original tool's [-r] flag); [initial_seeds] are executed and
-    ingested before fuzzing starts for any tool. *)
+    ingested before fuzzing starts for any tool, each with its
+    {!Corpus.key}, which must be the program's. [memo] serves and
+    records the seeds' results; the clock, exec count, feedback,
+    corpus and choice table advance as if each seed ran. Raises
+    [Invalid_argument] if [memo] was created for another version or
+    feature set than [config]'s. *)
 
 val step : t -> unit
 (** One fuzzing iteration: build a test case, execute it, process

@@ -114,10 +114,17 @@ let rec put_value buf (v : Value.t) =
     Buffer.add_char buf '\b';
     put_uvarint buf a
 
-let rec get_value s pos =
+(* Generated and corpus programs nest values at most 5 deep. The cap
+   keeps a hostile chain of [Ptr] or [Group] tags from recursing once
+   per input byte. *)
+let max_depth = 32
+
+let rec get_value depth s pos =
   if !pos >= String.length s then fail "truncated value";
+  if depth > max_depth then fail "value nested too deep";
   let tag = Char.code s.[!pos] in
   incr pos;
+  let depth = depth + 1 in
   match tag with
   | 0 -> Value.Int (get_svarint s pos)
   | 1 -> Value.Res_ref (Int64.to_int (get_uvarint s pos))
@@ -127,8 +134,8 @@ let rec get_value s pos =
   | 5 ->
     let n = Int64.to_int (get_uvarint s pos) in
     if n < 0 || n > 4096 then fail "group too large";
-    Value.Group (List.init n (fun _ -> get_value s pos))
-  | 6 -> Value.Ptr (get_value s pos)
+    Value.Group (List.init n (fun _ -> get_value depth s pos))
+  | 6 -> Value.Ptr (get_value depth s pos)
   | 7 -> Value.Null
   | 8 -> Value.Vma (get_uvarint s pos)
   | t -> fail (Printf.sprintf "unknown value tag %d" t)
@@ -159,7 +166,7 @@ let decode target s =
         in
         let argc = Int64.to_int (get_uvarint s pos) in
         if argc < 0 || argc > 64 then fail "arg count out of range";
-        let args = List.init argc (fun _ -> get_value s pos) in
+        let args = List.init argc (fun _ -> get_value 0 s pos) in
         { Prog.syscall; args })
   in
   if !pos <> String.length s then fail "trailing bytes";

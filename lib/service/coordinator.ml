@@ -1,4 +1,5 @@
 module Kernel = Healer_kernel.Kernel
+module Fuzzer = Healer_core.Fuzzer
 
 let initial (config : Checkpoint.config) =
   let state = Shard_state.of_target (Kernel.target ()) in
@@ -358,6 +359,8 @@ let run_sequential ?checkpoint_dir ?on_epoch (ck : Checkpoint.t) ~until =
   let cfg = ck.config in
   let ck = ref ck in
   save_opt checkpoint_dir !ck;
+  (* Every shard replays the same base, so one memo serves them all. *)
+  let memo = Fuzzer.Memo.create ~tool:cfg.tool ~version:cfg.version in
   while !ck.completed < until do
     let epoch = !ck.completed in
     (* Same schedule as the forked run: every shard's slice is
@@ -368,7 +371,7 @@ let run_sequential ?checkpoint_dir ?on_epoch (ck : Checkpoint.t) ~until =
     let base = !ck.prev in
     let deltas =
       List.init cfg.jobs (fun shard ->
-          Worker.run_epoch cfg ~shard ~epoch base)
+          Worker.run_epoch ~memo cfg ~shard ~epoch base)
     in
     let state = List.fold_left Shard_state.apply !ck.state deltas in
     ck := { !ck with completed = epoch + 1; state; prev = !ck.state };

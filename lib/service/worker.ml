@@ -10,7 +10,7 @@ module Triage = Healer_core.Triage
 let seed_for (cfg : Checkpoint.config) ~shard ~epoch =
   cfg.base_seed + (shard * 1_000_003) + (epoch * 7919)
 
-let run_epoch (cfg : Checkpoint.config) ~shard ~epoch (g : Shard_state.t) =
+let run_epoch ?memo (cfg : Checkpoint.config) ~shard ~epoch (g : Shard_state.t) =
   let fuzzer_cfg =
     Fuzzer.config ~seed:(seed_for cfg ~shard ~epoch) ~tool:cfg.tool
       ~version:cfg.version ()
@@ -18,11 +18,7 @@ let run_epoch (cfg : Checkpoint.config) ~shard ~epoch (g : Shard_state.t) =
   let initial_relations =
     if Relation_table.count g.relations > 0 then Some g.relations else None
   in
-  let f =
-    Fuzzer.create ?initial_relations
-      ~initial_seeds:(List.map snd g.corpus)
-      fuzzer_cfg
-  in
+  let f = Fuzzer.create ?initial_relations ~initial_seeds:g.corpus ?memo fuzzer_cfg in
   Fuzzer.run_until f cfg.slice;
   (* Workers fuzz a [0, slice) virtual clock each epoch; offset crash
      times so first_found is campaign-global and the earliest-wins
@@ -62,6 +58,9 @@ let serve (cfg : Checkpoint.config) ~shard ~input ~output =
      slice discovered) bytes, not O(total state). *)
   let base = ref (Shard_state.of_target target) in
   let version = ref 0 in
+  (* Replay results of the base corpus, kept for the process's life.
+     The base only grows, so the memo holds at most its final size. *)
+  let memo = Fuzzer.Memo.create ~tool:cfg.tool ~version:cfg.version in
   let rec loop () =
     match Wire.recv inp with
     | Wire.Quit, _ -> Unix._exit 0
@@ -74,7 +73,7 @@ let serve (cfg : Checkpoint.config) ~shard ~input ~output =
       let d = Shard_state.of_string target (Wire.get_all payload pos) in
       if not (Shard_state.is_empty d) then base := Shard_state.merge !base d;
       incr version;
-      let d = run_epoch cfg ~shard ~epoch !base in
+      let d = run_epoch ~memo cfg ~shard ~epoch !base in
       let d =
         { d with Shard_state.outcome = Shard_state.diff ~since:!base d.outcome }
       in

@@ -213,6 +213,42 @@ let test_serializer_malformed () =
   expect_malformed (String.sub good 0 (String.length good - 1));
   expect_malformed (good ^ "\x00")
 
+(* A hostile chain of 1 MiB of [Ptr] tags, or of one-element [Group]s,
+   used to recurse once per link; the decoder now stops at a fixed
+   depth with the typed error, before allocating or recursing further.
+   Validation is off, as on the production decode path, so nothing
+   but the depth cap rejects them. *)
+let test_serializer_nesting_bound () =
+  let was = Healer_executor.Progcheck.debug_enabled () in
+  Healer_executor.Progcheck.set_debug false;
+  Fun.protect ~finally:(fun () -> Healer_executor.Progcheck.set_debug was)
+  @@ fun () ->
+  let encoded link n =
+    let b = Buffer.create ((String.length link * n) + 16) in
+    Buffer.add_string b "HLR1";
+    Serializer.put_uvarint b 1L;
+    Serializer.put_uvarint b
+      (Int64.of_int (Target.find_exn (tgt ()) "read").Healer_syzlang.Syscall.id);
+    Serializer.put_uvarint b 1L;
+    for _ = 1 to n do
+      Buffer.add_string b link
+    done;
+    Buffer.add_char b '\007';
+    Buffer.contents b
+  in
+  List.iter
+    (fun (what, link) ->
+      ignore (Serializer.decode (tgt ()) (encoded link 32));
+      let chain = encoded link ((1 lsl 20) / String.length link) in
+      let t0 = Unix.gettimeofday () and a0 = Gc.allocated_bytes () in
+      (match Serializer.decode (tgt ()) chain with
+      | exception Serializer.Malformed _ -> ()
+      | _ -> Alcotest.failf "%s chain accepted" what);
+      let secs = Unix.gettimeofday () -. t0 and bytes = Gc.allocated_bytes () -. a0 in
+      if bytes >= 1e6 then Alcotest.failf "%s chain: %.0f bytes allocated" what bytes;
+      if secs >= 0.5 then Alcotest.failf "%s chain: %.3f s" what secs)
+    [ ("Ptr", "\006"); ("Group", "\005\001") ]
+
 let test_varint_roundtrip =
   qcheck "uvarint roundtrip"
     QCheck2.Gen.(map Int64.of_int int)
@@ -423,6 +459,7 @@ let suite =
     case "serializer roundtrip" test_roundtrip_explicit;
     case "serializer all value forms" test_roundtrip_all_value_forms;
     case "serializer malformed" test_serializer_malformed;
+    case "serializer bounds value nesting" test_serializer_nesting_bound;
     test_varint_roundtrip;
     case "exec basic flow" test_exec_basic_flow;
     case "exec failed ref degrades" test_exec_failed_ref_degrades;

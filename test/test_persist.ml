@@ -118,7 +118,9 @@ let test_initial_seeds_ingested () =
     [ prog [ call "socket$tcp" [ i 2L; i 1L; i 6L ]; call "listen" [ r 0; iv 8 ] ] ]
   in
   let cfg = Fuzzer.config ~seed:8 ~tool:Fuzzer.Syzkaller ~version:K.Version.V5_11 () in
-  let f = Fuzzer.create ~initial_seeds:seeds cfg in
+  let f =
+    Fuzzer.create ~initial_seeds:(List.map (fun p -> (Corpus.key p, p)) seeds) cfg
+  in
   Alcotest.(check bool) "corpus pre-populated" true
     (Corpus.size (Fuzzer.corpus f) >= 1)
 

@@ -16,6 +16,12 @@ module Nl = Test_kernel_netlink
 open Healer_core
 open Helpers
 
+(* A program generated with uniform call selection. *)
+let uniform_prog rng =
+  Gen.generate rng (tgt ())
+    ~select:(fun ~sub:_ -> Rng.int rng (Target.n_syscalls (tgt ())))
+    ()
+
 (* ---- exec golden ---- *)
 
 (* Everything an execution reports: per call the return value, errno,
@@ -47,12 +53,7 @@ let golden_digest () =
     Bug_repros.all;
   let rng = Rng.create 1 in
   for _ = 1 to 500 do
-    let p =
-      Gen.generate rng (tgt ())
-        ~select:(fun ~sub:_ -> Rng.int rng (Target.n_syscalls (tgt ())))
-        ()
-    in
-    add_result b (run p)
+    add_result b (run (uniform_prog rng))
   done;
   Digest.to_hex (Digest.string (Buffer.contents b))
 
@@ -159,10 +160,150 @@ let test_alloc_gate () =
   if mean >= words_per_run_bound then
     Alcotest.failf "%.0f words per Vm.run (bound %.0f)" mean words_per_run_bound
 
+(* ---- results are a function of the program ---- *)
+
+(* What the fuzzer's replay memo relies on: a run's result does not
+   depend on which VM runs the program or on what ran there before.
+   Each program runs on a VM that ran every earlier program, on a VM
+   that runs the same programs in reverse order, and on a fresh VM. *)
+let same_everywhere ~version ~features runs =
+  let vm id = Vm.create ~features ~version ~id () in
+  let dirty = vm 0 and reversed = vm 1 in
+  let forward =
+    List.map (fun (fault_call, p) -> Vm.run dirty ?fault_call p) runs
+  in
+  let backward =
+    List.rev_map
+      (fun (fault_call, p) -> Vm.run reversed ?fault_call p)
+      (List.rev runs)
+  in
+  List.for_all2
+    (fun (fault_call, p) (a, b) -> a = b && a = Vm.run (vm 2) ?fault_call p)
+    runs
+    (List.combine forward backward)
+
+let gen_runs =
+  let open QCheck2.Gen in
+  let* seed = int_bound 1_000_000 in
+  let* faults = list_size (return 12) (opt ~ratio:0.3 (int_bound 7)) in
+  return
+    (let rng = Rng.create seed in
+     List.map
+       (fun fault ->
+         let p = uniform_prog rng in
+         (Option.map (fun k -> k mod max 1 (Prog.length p)) fault, p))
+       faults)
+
+let result_props =
+  [
+    qcheck ~count:40 "results independent of VM and history" gen_runs
+      (same_everywhere ~version:K.Version.V5_11 ~features:[ "fault_injection" ]);
+  ]
+
+let test_results_of_program () =
+  let seeds = Seeds.traces (tgt ()) @ Seeds.distilled (tgt ()) in
+  List.iter
+    (fun features ->
+      let runs = List.map (fun p -> (None, p)) seeds in
+      if not (same_everywhere ~version:K.Version.V5_11 ~features runs) then
+        Alcotest.failf "seed corpus, features [%s]" (String.concat "," features))
+    [ []; [ "fault_injection" ]; [ "usb" ] ];
+  (* Each reproducer also runs right after its own crash. *)
+  List.iter
+    (fun (x : Bug_repros.repro) ->
+      let { Bug_repros.version; features; fault_call; _ } = x in
+      let p = x.Bug_repros.build () in
+      let runs = [ (fault_call, p); (fault_call, p); (None, List.hd seeds) ] in
+      if not (same_everywhere ~version ~features runs) then
+        Alcotest.failf "reproducer %s" x.Bug_repros.key;
+      if (run ~version ~features ?fault_call p).Exec.crash = None then
+        Alcotest.failf "reproducer %s does not crash" x.Bug_repros.key)
+    Bug_repros.all
+
+(* ---- replay memo ---- *)
+
+let keyed progs = List.map (fun p -> (Corpus.key p, p)) progs
+
+(* Everything a fuzzer exposes after ingesting its seeds and fuzzing a
+   little: clock, exec count, coverage, corpus keys in order, samples
+   and crashes. *)
+let observe f =
+  let corpus = ref [] in
+  Corpus.iter_keyed (fun k _ -> corpus := k :: !corpus) (Fuzzer.corpus f);
+  let cov = ref [] in
+  Healer_util.Bitset.iter (fun b -> cov := b :: !cov) (Fuzzer.coverage_set f);
+  (Fuzzer.now f, Fuzzer.execs f, !cov, !corpus, Fuzzer.samples f, Fuzzer.crash_log f)
+
+let test_memo_replay () =
+  let rng = Rng.create 3 in
+  let generated = List.init 60 (fun _ -> uniform_prog rng) in
+  let seeds = keyed (Seeds.traces (tgt ()) @ Seeds.distilled (tgt ()) @ generated) in
+  List.iter
+    (fun tool ->
+      let cfg = Fuzzer.config ~seed:5 ~tool ~version:K.Version.V5_11 () in
+      let replay ?memo () =
+        let f = Fuzzer.create ~initial_seeds:seeds ?memo cfg in
+        let ingested = observe f in
+        Fuzzer.run_until f (Fuzzer.now f +. 600.0);
+        (ingested, observe f)
+      in
+      let memo = Fuzzer.Memo.create ~tool ~version:K.Version.V5_11 in
+      let plain = replay () in
+      let cold = replay ~memo () in
+      let size = Fuzzer.Memo.size memo in
+      let warm = replay ~memo () in
+      let name = Fuzzer.tool_name tool in
+      Alcotest.(check bool) (name ^ ": cold memo == no memo") true (cold = plain);
+      Alcotest.(check bool) (name ^ ": warm memo == no memo") true (warm = plain);
+      Alcotest.(check int) (name ^ ": warm replay adds nothing") size
+        (Fuzzer.Memo.size memo);
+      (* Moonshine's distilled seeds are among [seeds] too. *)
+      Alcotest.(check int) (name ^ ": one entry per distinct seed")
+        (List.length (List.sort_uniq compare (List.map fst seeds)))
+        size)
+    [ Fuzzer.Healer; Fuzzer.Syzkaller; Fuzzer.Moonshine ]
+
+(* Mean minor-heap words a warm-memo [Fuzzer.create] spends per seed
+   over the seed corpus: the words of a create with the seeds minus a
+   create without them, validation off as in the run gate above. The
+   mean is exact for this corpus: 113 words with the memo warm, 157
+   when each admitted seed is encoded and hashed again for its corpus
+   key, and 718 when every seed also executes again. The bound leaves
+   a quarter of headroom over the warm figure and fails both others. *)
+let words_per_seed_bound = 140.0
+
+let test_replay_alloc_gate () =
+  let seeds = keyed (Seeds.traces (tgt ()) @ Seeds.distilled (tgt ())) in
+  let cfg = Fuzzer.config ~seed:1 ~tool:Fuzzer.Healer ~version:K.Version.V5_11 () in
+  let memo = Fuzzer.Memo.create ~tool:Fuzzer.Healer ~version:K.Version.V5_11 in
+  let words f =
+    let before = Gc.minor_words () in
+    ignore (Sys.opaque_identity (f ()));
+    Gc.minor_words () -. before
+  in
+  let was = Progcheck.debug_enabled () in
+  Progcheck.set_debug false;
+  let per_seed =
+    Fun.protect
+      ~finally:(fun () -> Progcheck.set_debug was)
+      (fun () ->
+        ignore (Fuzzer.create ~initial_seeds:seeds ~memo cfg);
+        let bare = words (fun () -> Fuzzer.create cfg) in
+        let warm = words (fun () -> Fuzzer.create ~initial_seeds:seeds ~memo cfg) in
+        (warm -. bare) /. float_of_int (List.length seeds))
+  in
+  if per_seed >= words_per_seed_bound then
+    Alcotest.failf "%.0f words per replayed seed (bound %.0f)" per_seed
+      words_per_seed_bound
+
 let suite =
   [
     case "exec golden" test_exec_golden;
     case "boot holds no subsystem state" test_boot_is_empty;
     case "genl boot ids on first touch" test_genl_ids;
     case "allocation per run" test_alloc_gate;
+    case "results are a function of the program" test_results_of_program;
+    case "warm memo replay == cold replay" test_memo_replay;
+    case "replay allocation per seed" test_replay_alloc_gate;
   ]
+  @ result_props

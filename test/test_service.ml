@@ -418,6 +418,74 @@ let test_delta_roundtrip () =
   Alcotest.(check bool) "outcome" true
     (eq d.S.Shard_state.outcome d'.S.Shard_state.outcome)
 
+(* ---- replay memo ---- *)
+
+(* A base with a corpus: both shards' epoch-0 outcomes folded into the
+   initial state, as front 0 of a 2-shard campaign. *)
+let front0 cfg =
+  let g = S.Shard_state.of_target (tgt ()) in
+  List.fold_left S.Shard_state.apply g
+    (List.init 2 (fun shard -> S.Worker.run_epoch cfg ~shard ~epoch:0 g))
+
+let test_memo_epoch_identical () =
+  let cfg = small_cfg () in
+  let base = front0 cfg in
+  Alcotest.(check bool) "base has a corpus" true (base.S.Shard_state.corpus <> []);
+  let delta ?memo () =
+    S.Shard_state.delta_to_string (S.Worker.run_epoch ?memo cfg ~shard:1 ~epoch:2 base)
+  in
+  let memo = Fuzzer.Memo.create ~tool:cfg.S.Checkpoint.tool ~version:cfg.S.Checkpoint.version in
+  let plain = delta () in
+  Alcotest.(check string) "cold memo == no memo" plain (delta ~memo ());
+  let size = Fuzzer.Memo.size memo in
+  Alcotest.(check bool) "cold memo filled" true (size > 0);
+  Alcotest.(check string) "warm memo == no memo" plain (delta ~memo ());
+  Alcotest.(check int) "warm epoch adds no entries" size (Fuzzer.Memo.size memo)
+
+(* The in-process lag-2 schedule of [Coordinator.run ~forked:false],
+   with one memo shared by every shard and epoch: it reaches the
+   coordinator's digest, and the memo holds at most the final corpus,
+   since it only ever holds keys of the grow-only base. *)
+let test_memo_bounded_by_corpus () =
+  let cfg = small_cfg ~epochs:6 () in
+  let memo = Fuzzer.Memo.create ~tool:cfg.S.Checkpoint.tool ~version:cfg.S.Checkpoint.version in
+  let g = S.Shard_state.of_target (tgt ()) in
+  let rec go epoch ~prev ~state =
+    if epoch = cfg.S.Checkpoint.epochs then state
+    else
+      let deltas =
+        List.init cfg.S.Checkpoint.jobs (fun shard ->
+            S.Worker.run_epoch ~memo cfg ~shard ~epoch prev)
+      in
+      go (epoch + 1) ~prev:state ~state:(List.fold_left S.Shard_state.apply state deltas)
+  in
+  let final = go 0 ~prev:g ~state:g in
+  let coordinator =
+    (S.Coordinator.run ~forked:false (S.Coordinator.initial cfg)).S.Coordinator.final
+  in
+  Alcotest.(check string) "same digest as the coordinator"
+    (S.Shard_state.digest coordinator.S.Checkpoint.state)
+    (S.Shard_state.digest final);
+  let corpus = List.length final.S.Shard_state.corpus in
+  Alcotest.(check bool)
+    (Printf.sprintf "memo %d entries, final corpus %d" (Fuzzer.Memo.size memo) corpus)
+    true
+    (Fuzzer.Memo.size memo > 0 && Fuzzer.Memo.size memo <= corpus)
+
+let test_memo_bound_to_version_features () =
+  let cfg = small_cfg () in
+  let base = S.Shard_state.of_target (tgt ()) in
+  let memo = Fuzzer.Memo.create ~tool:Fuzzer.Healer ~version:K.Version.V5_11 in
+  List.iter
+    (fun (what, cfg) ->
+      match S.Worker.run_epoch ~memo cfg ~shard:0 ~epoch:2 base with
+      | exception Invalid_argument _ -> ()
+      | _ -> Alcotest.failf "memo reused under another %s" what)
+    [
+      ("version", { cfg with S.Checkpoint.version = K.Version.V5_4 });
+      ("feature set", { cfg with S.Checkpoint.tool = Fuzzer.Syzkaller });
+    ]
+
 (* ---- coordinator ---- *)
 
 let rec rm_rf path =
@@ -675,6 +743,9 @@ let suite =
       case "harvest reuses corpus keys" test_harvest_keys;
       case "delta fold order is irrelevant" test_fold_order_irrelevant;
       case "delta roundtrip" test_delta_roundtrip;
+      case "memo: no, cold and warm memo give one delta" test_memo_epoch_identical;
+      case "memo: bounded by the final corpus" test_memo_bounded_by_corpus;
+      case "memo: bound to version and features" test_memo_bound_to_version_features;
       case "forked == sequential" test_forked_equals_sequential;
       case "interrupted + resumed == uninterrupted" test_interrupted_resume;
       case "worker death: respawn, same results" test_worker_death_respawn;
