@@ -37,6 +37,7 @@ let env_float name default =
 let rounds = env_int "HEALER_BENCH_ROUNDS" 5
 let hours = env_float "HEALER_BENCH_HOURS" 24.0
 let ext_hours = env_float "HEALER_BENCH_EXT" 96.0
+let jobs = env_int "HEALER_BENCH_JOBS" (Domain.recommended_domain_count ())
 
 let versions = K.Version.evaluated
 let tools = Fuzzer.all_tools
@@ -114,7 +115,6 @@ let prefetch requested =
       (List.sort_uniq compare wanted)
   in
   if specs <> [] then begin
-    let jobs = Campaign.default_jobs () in
     Fmt.epr "prefetching %d campaigns on %d domains...@." (List.length specs) jobs;
     let t0 = Unix.gettimeofday () in
     let runs = Campaign.run_matrix ~jobs specs in
@@ -562,9 +562,9 @@ let micro () =
                   ())));
       Test.make ~name:"generate (validate on)"
         (Staged.stage (fun () ->
-             Healer_executor.Progcheck.set_debug true;
+             K.Validate.set true;
              Fun.protect
-               ~finally:(fun () -> Healer_executor.Progcheck.set_debug false)
+               ~finally:(fun () -> K.Validate.set false)
                (fun () ->
                  ignore
                    (Gen.generate rng target
@@ -771,4 +771,4 @@ let () =
   prefetch requested;
   List.iter run_section requested;
   if json then
-    write_json ~jobs:(Campaign.default_jobs ()) ~section_times:!section_times ()
+    write_json ~jobs ~section_times:!section_times ()

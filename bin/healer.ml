@@ -213,8 +213,9 @@ let relations_cmd =
        ~doc:"Fuzz for a while with HEALER and dump the learned relation table")
     Term.(const run_relations $ version_arg $ hours_arg $ seed_arg)
 
-(* 0 = auto: HEALER_BENCH_JOBS or Domain.recommended_domain_count. *)
-let resolve_jobs jobs = if jobs = 0 then Campaign.default_jobs () else jobs
+(* 0 = auto: the machine's recommended domain count. *)
+let resolve_jobs jobs =
+  if jobs = 0 then Domain.recommended_domain_count () else jobs
 
 let run_compare subject base version hours seed rounds jobs =
   or_die @@ fun () ->
@@ -274,8 +275,8 @@ let jobs_arg =
     & opt int 0
     & info [ "j"; "jobs" ] ~docv:"JOBS"
         ~doc:
-          "Worker domains for the campaign matrix. 0 (default) means \
-           $(b,HEALER_BENCH_JOBS) or the machine's recommended domain count.")
+          "Worker domains for the campaign matrix. 0 (default) means the \
+           machine's recommended domain count.")
 
 let compare_cmd =
   Cmd.v
@@ -402,9 +403,13 @@ let run_analyze_progs prog seed_corpus json min_sev only =
 (* Lock-model mode: dump the declared model (classes, order graph,
    per-handler specs), the lockdep findings over it, and the lock-pair
    acquisition counts the built-in seed corpus exhibits — the
-   queryable concurrency-coverage signal. *)
+   queryable concurrency-coverage signal. The counts are folded from
+   the kernel's access log, which is recorded only under debug
+   validation, so this mode arms it: every seed execution is also
+   checked against its declared lock spec. *)
 let run_locks json =
   or_die @@ fun () ->
+  K.Validate.set true;
   let model = K.Kernel.lock_model () in
   let classes =
     List.sort
@@ -417,7 +422,7 @@ let run_locks json =
   in
   (* Execute the seed corpus (each program from pristine state, like
      the executor's forked processes) and aggregate the lock-pair /
-     per-class acquisition counters across runs. *)
+     per-class acquisition counts across runs. *)
   let target = K.Kernel.target () in
   let kernel = K.Kernel.boot ~version:K.Version.V5_11 () in
   let cov = K.Coverage.create () in
@@ -577,11 +582,12 @@ let run_races json =
 (* Effect mode: dump the declared effect model (slot vocabulary, spec
    count), the effect-drift findings, and the per-slot read/write
    counts the built-in seed corpus exhibits — the observed-access
-   signal mirroring `--locks`' acquisition counters. Under
-   HEALER_DEBUG_VALIDATE the executions also check observed ⊆ declared
-   per call, so the @analyze gate exercises the runtime validator. *)
+   signal mirroring `--locks`' acquisition counts. Like `--locks` it
+   arms debug validation, which records the access log the counts are
+   folded from and checks observed ⊆ declared per call. *)
 let run_effects json =
   or_die @@ fun () ->
+  K.Validate.set true;
   let input = Analysis.of_kernel () in
   let ds = Analysis.run ~passes:[ Healer_analysis.Effects.pass ] input in
   let model = K.Kernel.effect_model () in

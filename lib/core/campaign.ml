@@ -36,17 +36,7 @@ let run_one ?(hours = 24.0) ?(seed = 1) ~tool ~version () =
 
 (* ---- parallel campaign matrix ---- *)
 
-let default_jobs () =
-  match Sys.getenv_opt "HEALER_BENCH_JOBS" with
-  | None -> Domain.recommended_domain_count ()
-  | Some s -> (
-    match int_of_string_opt (String.trim s) with
-    | Some n when n >= 1 -> n
-    | Some _ | None ->
-      invalid_arg "HEALER_BENCH_JOBS must be a positive integer")
-
-let run_matrix ?jobs specs =
-  let jobs = match jobs with Some j -> j | None -> default_jobs () in
+let run_matrix ?(jobs = Domain.recommended_domain_count ()) specs =
   if jobs < 1 then invalid_arg "Campaign.run_matrix: jobs must be positive";
   let jobs = min jobs (max 1 (List.length specs)) in
   (* Campaigns only read the process-global kernel tables; settle them

@@ -28,11 +28,6 @@ val run_one :
   run
 (** One campaign (default 24 virtual hours). *)
 
-val default_jobs : unit -> int
-(** Worker-domain count for {!run_matrix}: the [HEALER_BENCH_JOBS]
-    environment variable when set (must be a positive integer), else
-    [Domain.recommended_domain_count ()]. *)
-
 val run_matrix :
   ?jobs:int ->
   (Fuzzer.tool * Healer_kernel.Version.t * int * float) list ->
@@ -40,9 +35,9 @@ val run_matrix :
 (** [run_matrix specs] runs one campaign per [(tool, version, seed,
     hours)] spec. Campaigns are independent (the paper's evaluation
     matrix, Section 6), so they are fanned out across [jobs] worker
-    domains (default {!default_jobs}); results come back in input
-    order and are identical to a sequential run — each campaign is a
-    deterministic function of its spec. Calls
+    domains (default [Domain.recommended_domain_count ()]); results
+    come back in input order and are identical to a sequential run —
+    each campaign is a deterministic function of its spec. Calls
     {!Healer_kernel.Kernel.force_init} before spawning. *)
 
 val improvement_pct : base:run -> run -> float

@@ -49,17 +49,16 @@ type config = {
   exec_cache : bool option;  (* perfbench is its only reader *)
 }
 
-let config ?(seed = 1) ?(vms = 2) ?costs ?(gen_ratio = 0.15) ?(fault_rate = 0.01)
-    ?(use_static_learning = true) ?(use_dynamic_learning = true) ?fixed_alpha
-    ~tool ~version () =
+let config ?(seed = 1) ?(use_static_learning = true)
+    ?(use_dynamic_learning = true) ?fixed_alpha ~tool ~version () =
   {
     tool;
     version;
     seed;
-    vms;
-    costs;
-    gen_ratio;
-    fault_rate;
+    vms = 2;
+    costs = None;
+    gen_ratio = 0.15;
+    fault_rate = 0.01;
     use_static_learning;
     use_dynamic_learning;
     fixed_alpha;

@@ -35,9 +35,9 @@ type config = {
   tool : tool;
   version : Healer_kernel.Version.t;
   seed : int;
-  vms : int;
+  vms : int;  (** Executor VMs in the pool. *)
   costs : costs option;  (** Override {!default_costs}. *)
-  gen_ratio : float;  (** Probability of generation vs mutation. *)
+  gen_ratio : float;  (** Base probability of generation vs mutation. *)
   fault_rate : float;  (** Probability of fault-injected execution. *)
   use_static_learning : bool;  (** Ablation hook (HEALER only). *)
   use_dynamic_learning : bool;  (** Ablation hook (HEALER only). *)
@@ -47,10 +47,6 @@ type config = {
 
 val config :
   ?seed:int ->
-  ?vms:int ->
-  ?costs:costs ->
-  ?gen_ratio:float ->
-  ?fault_rate:float ->
   ?use_static_learning:bool ->
   ?use_dynamic_learning:bool ->
   ?fixed_alpha:float ->
@@ -58,6 +54,8 @@ val config :
   version:Healer_kernel.Version.t ->
   unit ->
   config
+(** A configuration with the fixed execution settings: 2 VMs,
+    {!default_costs}, a 0.15 generation ratio and a 0.01 fault rate. *)
 
 (** Seed results kept across fuzzer instances. Every execution boots
     a fresh kernel, so a program's {!Healer_executor.Exec.run_result}

@@ -62,31 +62,7 @@ let checks =
       "resource used after a closing call consumed it" );
   ]
 
-(* ---- debug-validation switch (the HEALER_DEBUG_VALIDATE contract) ---- *)
-
 exception Invalid of string
-
-let env_enabled () =
-  match Sys.getenv_opt "HEALER_DEBUG_VALIDATE" with
-  | None -> false
-  | Some v -> (
-    match String.lowercase_ascii (String.trim v) with
-    | "" | "0" | "false" | "no" | "off" -> false
-    | _ -> true)
-
-let debug = ref (env_enabled ())
-
-(* One switch drives the whole debug-validation contract: flipping it
-   also arms (or disarms) the runtime lockdep and effect-trace
-   validators down in [Kernel.exec_call], so `Progcheck.set_debug
-   true` — what the test suite and the dune @analyze gates do — covers
-   all three. *)
-let set_debug b =
-  debug := b;
-  Healer_kernel.Lock.set_validate b;
-  Healer_kernel.Effect.set_validate b
-
-let debug_enabled () = !debug
 
 (* ---- the checker ---- *)
 
@@ -391,7 +367,7 @@ let errors ?src target p =
 let is_clean target p = errors target p = []
 
 let debug_check ~what target p =
-  if !debug then
+  if Healer_kernel.Validate.enabled () then
     match errors target p with
     | [] -> ()
     | errs ->

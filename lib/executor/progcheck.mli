@@ -32,22 +32,14 @@ val is_clean : Healer_syzlang.Target.t -> Prog.t -> bool
 
 (** {1 Debug enforcement}
 
-    The [HEALER_DEBUG_VALIDATE] contract: when enabled, the program
-    pipeline (generation, mutation, minimization, decoding) asserts
+    The [HEALER_DEBUG_VALIDATE] contract: while
+    {!Healer_kernel.Validate.enabled}, the program pipeline
+    (generation, mutation, minimization, decoding) asserts
     validator-cleanliness on everything it emits and raises {!Invalid}
     with the diagnostics and the offending program's text otherwise.
-    Enabled by the [HEALER_DEBUG_VALIDATE] environment variable (any
-    value except [0 | false | no | off | empty]), or programmatically;
-    the test suite turns it on, benchmarks leave it off. *)
+    The test suite arms it, benchmarks leave it off. *)
 
 exception Invalid of string
-
-val set_debug : bool -> unit
-(** Also arms/disarms the runtime lockdep validator
-    ({!Healer_kernel.Lock.set_validate}): one switch for the whole
-    debug-validation contract. *)
-
-val debug_enabled : unit -> bool
 
 val debug_check : what:string -> Healer_syzlang.Target.t -> Prog.t -> unit
 (** [debug_check ~what target p] raises {!Invalid} if debug validation

@@ -174,7 +174,7 @@ let decode target s =
   (* Under HEALER_DEBUG_VALIDATE a syntactically well-formed encoding
      of a type-invalid program is still malformed input: the decoder
      is the trust boundary for persisted corpora. *)
-  if Progcheck.debug_enabled () then begin
+  if Healer_kernel.Validate.enabled () then begin
     match Progcheck.errors target p with
     | [] -> ()
     | errs ->

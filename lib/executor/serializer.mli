@@ -13,7 +13,7 @@ val decode : Healer_syzlang.Target.t -> string -> Prog.t
 (** Raises {!Malformed} on truncated or corrupt input, when a
     syscall id does not exist in [target], or when values nest more
     than 32 deep (pointers and groups). When
-    {!Progcheck.debug_enabled} is set, additionally raises
+    {!Healer_kernel.Validate.enabled} is set, additionally raises
     {!Malformed} if the decoded program has {!Progcheck} errors:
     well-formed bytes encoding a type-invalid program are still
     malformed input. *)

@@ -5,8 +5,6 @@ type t = {
   features : string list;
   proc : int;
   mutable fault_pending : bool;
-  mutable lock_held : Lock.cls list;
-  mutable lock_trace : Lock.op list;
 }
 
 type result = { ret : int64; err : Errno.t option }
@@ -19,8 +17,6 @@ let make ?(features = []) ?(proc = 0) ~st ~san cov =
     features;
     proc;
     fault_pending = false;
-    lock_held = [];
-    lock_trace = [];
   }
 
 let ok ret = { ret; err = None }
@@ -49,30 +45,6 @@ let bug ctx key =
     let b = Bug.find_exn key in
     raise (Crash.Crash { bug_key = key; risk = b.risk })
 
-(* Top-level so the hot path allocates no closure per acquire. *)
-let rec bump_pairs st held (c : Lock.cls) =
-  match held with
-  | [] -> ()
-  | h :: rest ->
-    State.bump_lock st (Lock.pair_counter h c);
-    bump_pairs st rest c
-
-let acquire ctx (c : Lock.cls) =
-  bump_pairs ctx.st ctx.lock_held c;
-  State.bump_lock ctx.st (Lock.acq_counter c);
-  ctx.lock_held <- c :: ctx.lock_held;
-  if Lock.validate_enabled () then
-    ctx.lock_trace <- Lock.Acquire c.Lock.cname :: ctx.lock_trace
-
-let release ctx (c : Lock.cls) =
-  (match ctx.lock_held with
-  | h :: rest when h.Lock.id = c.Lock.id -> ctx.lock_held <- rest
-  | held -> ctx.lock_held <- List.filter (fun h -> h.Lock.id <> c.Lock.id) held);
-  if Lock.validate_enabled () then
-    ctx.lock_trace <- Lock.Release c.Lock.cname :: ctx.lock_trace
-
-let with_lock ctx c f =
-  acquire ctx c;
-  Fun.protect ~finally:(fun () -> release ctx c) f
-
-let lock_trace ctx = List.rev ctx.lock_trace
+let with_lock ctx (c : Lock.cls) f =
+  State.record_acquire ctx.st c.Lock.cname;
+  Fun.protect ~finally:(fun () -> State.record_release ctx.st c.Lock.cname) f

@@ -1,6 +1,6 @@
 (** Per-execution handler context and the helpers every simulated
-    syscall handler uses: coverage reporting, errno results and bug
-    triggering. *)
+    syscall handler uses: coverage reporting, errno results, bug
+    triggering and lock sections. *)
 
 type t = {
   st : State.t;
@@ -12,13 +12,6 @@ type t = {
   mutable fault_pending : bool;
       (** Set by the executor when fault injection targets the current
           call; {!take_fault} consumes it. *)
-  mutable lock_held : Lock.cls list;
-      (** Lock classes currently held, innermost first; maintained by
-          {!with_lock}. *)
-  mutable lock_trace : Lock.op list;
-      (** Acquisition trace in reverse order, recorded only under
-          {!Lock.validate_enabled}; {!lock_trace} returns it
-          chronologically. *)
 }
 
 type result = { ret : int64; err : Errno.t option }
@@ -63,23 +56,13 @@ val bug : t -> string -> unit
 val bug_fires : t -> string -> bool
 (** Would {!bug} raise? (Version and sanitizer check, no side effect.) *)
 
-(** {2 Lock hooks}
-
-    Handlers (normally via {!Subsystem.locked}) bracket their bodies
-    in {!with_lock}; since the simulator is single-threaded the hooks
-    never block — they account lock-pair coverage counters in
-    {!State.t} and, under {!Lock.validate_enabled}, record the
-    acquisition trace that {!Kernel.exec_call} checks against the
-    handler's declared spec. *)
-
-val acquire : t -> Lock.cls -> unit
-val release : t -> Lock.cls -> unit
+(** {2 Lock hooks} *)
 
 val with_lock : t -> Lock.cls -> (unit -> 'a) -> 'a
-(** [with_lock ctx c f] runs [f] holding [c]; the release is exception
-    safe ([Fun.protect]), so traces stay balanced when a handler
-    raises {!Crash.Crash} mid-section. *)
-
-val lock_trace : t -> Lock.op list
-(** The recorded trace, chronologically. Empty unless
-    {!Lock.validate_enabled}. *)
+(** [with_lock ctx c f] runs [f] holding [c]. Handlers normally get it
+    through {!Subsystem.locked}. The simulator is single-threaded, so
+    it never blocks: under {!Validate.enabled} it records the
+    acquisition and the release in {!State.log}, which
+    {!Kernel.exec_call} checks against the handler's declared spec.
+    The release is exception safe ([Fun.protect]), so the log stays
+    balanced when a handler raises {!Crash.Crash} mid-section. *)

@@ -49,22 +49,13 @@ let covers ~declared slot =
     (fun d -> String.equal d slot || (String.equal d wildcard && is_fd_slot slot))
     declared
 
-(* ---- runtime switches ---- *)
-
-(* Trace recording + per-call validation follow the
-   HEALER_DEBUG_VALIDATE contract ([Progcheck.set_debug] arms all of
-   Progcheck, lockdep and this). *)
-let validate = ref (Lock.env_on "HEALER_DEBUG_VALIDATE")
-let validate_enabled () = !validate
-let set_validate b = validate := b
-
 (* ---- slot interning ----
 
-   Observed accesses are accounted in dense integer slots into
-   [State]'s effect-count arrays (one read + one write counter per
-   slot), so the record hook on the execution hot path is an array
-   increment. Subsystem modules intern their slots at module-init
-   time; after [Kernel.force_init] the table is read-only. *)
+   Instrumented accessors name slots by dense integers, so the record
+   hook on the execution hot path passes an int and allocates nothing
+   while validation is off. Subsystem modules intern their slots at
+   module-init time; after [Kernel.force_init] the table is
+   read-only. *)
 
 let slot_names = ref (Array.make 0 "")
 let n_interned = ref 0
@@ -87,7 +78,6 @@ let slot name =
     i
 
 let slot_name i = !slot_names.(i)
-let n_slots () = !n_interned
 
 let registered_slots () =
   List.init !n_interned (fun i -> !slot_names.(i))

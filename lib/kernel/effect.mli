@@ -39,27 +39,17 @@ val wildcard : string
 val covers : declared:string list -> string -> bool
 (** Does a declared slot list cover an observed slot (wildcard-aware)? *)
 
-(** {1 Runtime switches} *)
-
-val validate_enabled : unit -> bool
-(** Trace recording + per-call declared-vs-observed validation; armed
-    by [HEALER_DEBUG_VALIDATE] / {!set_validate} (wired through
-    [Progcheck.set_debug] like the lock validator). *)
-
-val set_validate : bool -> unit
-
 (** {1 Slot interning}
 
-    Observed accesses are accounted in dense int slots into [State]'s
-    effect-count arrays, so the record hook on the execution hot path
-    is an array increment. Subsystem modules intern their slots at
-    module-init time; read-only after [Kernel.force_init]. *)
+    Instrumented accessors name slots by dense ints, so the record
+    hook on the execution hot path allocates nothing while validation
+    is off. Subsystem modules intern their slots at module-init time;
+    read-only after [Kernel.force_init]. *)
 
 val slot : string -> int
 (** Intern a slot name (idempotent). *)
 
 val slot_name : int -> string
-val n_slots : unit -> int
 val registered_slots : unit -> string list
 
 (** {1 Known-race catalog} *)

@@ -152,67 +152,99 @@ let effect_model_memo =
 
 let effect_model () = Lazy.force effect_model_memo
 
-(* Validate the access trace the current call just recorded against
-   the handler's declared effect spec (HEALER_DEBUG_VALIDATE, same
-   contract as the lock-trace check below). *)
-let check_effect_trace st ~sub ~handler =
+(* The accesses recorded after [mark], an earlier [State.log],
+   oldest first. *)
+let since mark log =
+  let rec go acc l =
+    if l == mark then acc
+    else match l with [] -> acc | a :: rest -> go (a :: acc) rest
+  in
+  go [] log
+
+(* Runtime lockdep and effect checks (the HEALER_DEBUG_VALIDATE
+   contract) over one call's accesses: its lock operations must match
+   the handler's declared lock spec and the global order graph, and
+   every slot it read or wrote must appear in its declared effect
+   spec, so the static models can never drift from handler
+   behavior. *)
+let check_call ~sub ~handler accesses =
+  let ops =
+    List.filter_map
+      (function
+        | State.Acquire c -> Some (Lock.Acquire c)
+        | State.Release c -> Some (Lock.Release c)
+        | State.Read _ | State.Write _ -> None)
+      accesses
+  in
+  (match Lock.check_trace (lock_model ()) ~subsystem:sub ~handler ops with
+  | [] -> ()
+  | f :: _ -> raise (Lock.Violation f));
   let events =
-    List.map (fun (w, s) -> (w, Effect.slot_name s)) (State.effect_trace st)
+    List.filter_map
+      (function
+        | State.Read s -> Some (false, Effect.slot_name s)
+        | State.Write s -> Some (true, Effect.slot_name s)
+        | State.Acquire _ | State.Release _ -> None)
+      accesses
   in
   match Effect.check_trace (effect_model ()) ~subsystem:sub ~handler events with
   | [] -> ()
   | f :: _ -> raise (Effect.Violation f)
 
-let split_pair key =
-  (* "lock:pair:A->B" -> (A, B) *)
-  let body =
-    String.sub key
-      (String.length Lock.pair_prefix)
-      (String.length key - String.length Lock.pair_prefix)
-  in
-  match String.index_opt body '-' with
-  | Some i when i + 1 < String.length body && body.[i + 1] = '>' ->
-    (String.sub body 0 i, String.sub body (i + 2) (String.length body - i - 2))
-  | _ -> (body, "")
+(* ---- counts folded from the access log ---- *)
 
+let bump tbl key f zero =
+  Hashtbl.replace tbl key (f (Option.value (Hashtbl.find_opt tbl key) ~default:zero))
+
+let sorted tbl = Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl [] |> List.sort compare
+
+(* A pair (A, B) counts once for every held A each time B is
+   acquired; a release drops the innermost hold of its class, or every
+   hold when it is not innermost. *)
 let lock_pair_counts k =
-  List.filter_map
-    (fun (slot, v) ->
-      let key = Lock.slot_name slot in
-      if String.starts_with ~prefix:Lock.pair_prefix key then
-        Some (split_pair key, v)
-      else None)
-    (State.lock_slot_counts k.st)
-  |> List.sort compare
+  let pairs = Hashtbl.create 16 in
+  let held = ref [] in
+  List.iter
+    (function
+      | State.Acquire c ->
+        List.iter (fun h -> bump pairs (h, c) succ 0) !held;
+        held := c :: !held
+      | State.Release c ->
+        held :=
+          (match !held with
+          | h :: rest when h = c -> rest
+          | hs -> List.filter (fun h -> h <> c) hs)
+      | State.Read _ | State.Write _ -> ())
+    (List.rev (State.log k.st));
+  sorted pairs
 
 let lock_acquire_counts k =
-  List.filter_map
-    (fun (slot, v) ->
-      let key = Lock.slot_name slot in
-      if String.starts_with ~prefix:Lock.acq_prefix key then
-        Some
-          ( String.sub key
-              (String.length Lock.acq_prefix)
-              (String.length key - String.length Lock.acq_prefix),
-            v )
-      else None)
-    (State.lock_slot_counts k.st)
-  |> List.sort compare
+  let acqs = Hashtbl.create 16 in
+  List.iter
+    (function State.Acquire c -> bump acqs c succ 0 | _ -> ())
+    (State.log k.st);
+  sorted acqs
 
 let effect_counts k =
-  List.map
-    (fun (slot, r, w) -> (Effect.slot_name slot, r, w))
-    (State.effect_slot_counts k.st)
+  let slots = Hashtbl.create 16 in
+  List.iter
+    (function
+      | State.Read s -> bump slots s (fun (r, w) -> (r + 1, w)) (0, 0)
+      | State.Write s -> bump slots s (fun (r, w) -> (r, w + 1)) (0, 0)
+      | State.Acquire _ | State.Release _ -> ())
+    (State.log k.st);
+  Hashtbl.fold (fun s (r, w) acc -> (Effect.slot_name s, r, w) :: acc) slots []
   |> List.sort compare
+
 let version k = State.version k.st
 let state k = k.st
 let sanitizers k = k.san
 let features k = k.features
 
 (* Settle every piece of process-global kernel state — the subsystem
-   registry, the memoized target, the lazy dispatch tables, the crash
-   symbol table and the coverage-region lookup array — while still
-   single-domain. After this returns, all of that state is read-only,
+   registry, the memoized target, the lazy dispatch tables, the lock
+   and effect models, the crash symbol table and the coverage-region
+   lookup array — while still single-domain. After this returns, all of that state is read-only,
    so campaigns may run in parallel domains against it. *)
 let force_init () =
   ignore (subsystems ());
@@ -222,7 +254,6 @@ let force_init () =
   ignore (Lazy.force line_index);
   ignore (lock_model ());
   ignore (effect_model ());
-  Lock.force_pairs ();
   Crash.preload ();
   Coverage.force_regions ()
 
@@ -231,7 +262,7 @@ let blk = Coverage.region ~name:"core" ~size:64
 let exec_call k ?(fault = false) ~cov (call : Syscall.t) args =
   let ctx = Ctx.make ~features:k.features ~st:k.st ~san:k.san cov in
   ctx.Ctx.fault_pending <- fault;
-  State.reset_effect_trace k.st;
+  let mark = State.log k.st in
   ignore (State.tick k.st);
   Coverage.hit cov (blk + 0);
   match Hashtbl.find_opt (Lazy.force handler_table) call.Syscall.name with
@@ -243,28 +274,14 @@ let exec_call k ?(fault = false) ~cov (call : Syscall.t) args =
        itself with ENOMEM on a dedicated branch when the handler has
        not consumed the fault explicitly. *)
     let r = h ctx args in
-    (* Runtime lockdep (the HEALER_DEBUG_VALIDATE contract): the trace
-       this call actually recorded must match the handler's declared
-       spec and the global order graph — the static model can never
-       drift from handler behavior. Skipped when a Crash aborted the
-       call ([Fun.protect] in [Ctx.with_lock] still released
-       everything). *)
-    if Lock.validate_enabled () then begin
-      match
-        Lock.check_trace (lock_model ())
-          ~subsystem:(subsystem_of call.Syscall.name)
-          ~handler:call.Syscall.name (Ctx.lock_trace ctx)
-      with
-      | [] -> ()
-      | f :: _ -> raise (Lock.Violation f)
-    end;
-    (* Same contract for the observed effect trace: every state slot
-       this call read or wrote must appear in the handler's declared
-       effect spec. *)
-    if Effect.validate_enabled () then
-      check_effect_trace k.st
+    (* Skipped when a Crash aborted the call; its accesses stay in the
+       log ([Fun.protect] in [Ctx.with_lock] still recorded every
+       release). *)
+    if Validate.enabled () then
+      check_call
         ~sub:(subsystem_of call.Syscall.name)
-        ~handler:call.Syscall.name;
+        ~handler:call.Syscall.name
+        (since mark (State.log k.st));
     if Ctx.take_fault ctx then begin
       Coverage.hit cov (blk + 2);
       Ctx.err Errno.ENOMEM

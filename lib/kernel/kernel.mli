@@ -31,11 +31,12 @@ val subsystem_of : string -> string
 
 val force_init : unit -> unit
 (** Force every lazily initialized process-global (subsystem registry,
-    memoized target, handler/subsystem/line dispatch tables, crash
-    symbol table, coverage-region lookup). The globals are read-only
-    afterwards, making kernel boots and executions safe from multiple
-    domains. Must be called before spawning any domain that touches
-    the kernel; {!Healer_core.Campaign.run_matrix} does so. *)
+    memoized target, handler/subsystem/line dispatch tables, lock and
+    effect models, crash symbol table, coverage-region lookup). The
+    globals are read-only afterwards, making kernel boots and
+    executions safe from multiple domains. Must be called before
+    spawning any domain that touches the kernel;
+    {!Healer_core.Campaign.run_matrix} does so. *)
 
 val boot :
   ?san:Sanitizer.config ->
@@ -65,13 +66,17 @@ val lock_model : unit -> Lock.model
     pass and the runtime validator below both read it. *)
 
 val lock_pair_counts : t -> ((string * string) * int) list
-(** Lock-pair acquisition counts accumulated by this kernel's
-    executions: [((outer, inner), n)] meaning [inner] was acquired [n]
-    times while [outer] was held. Sorted. The queryable
-    concurrency-coverage signal behind [healer analyze --locks]. *)
+(** Lock-pair acquisition counts folded from this kernel's access log
+    ({!State.log}): [((outer, inner), n)] meaning [inner] was acquired
+    [n] times while [outer] was held, counted once per held [outer] at
+    each acquisition. Sorted. The queryable concurrency-coverage
+    signal behind [healer analyze --locks]. The log is recorded only
+    under {!Validate.enabled}, so a kernel that ran unarmed returns
+    []. Accesses of a call that crashed still count. *)
 
 val lock_acquire_counts : t -> (string * int) list
-(** Total acquisitions per lock class, sorted by class name. *)
+(** Total acquisitions per lock class from the same log, sorted by
+    class name. *)
 
 (** {2 Effect model} *)
 
@@ -82,8 +87,9 @@ val effect_model : unit -> Effect.model
     / race / relation-inference passes and the runtime validator. *)
 
 val effect_counts : t -> (string * int * int) list
-(** Per-slot [(slot, reads, writes)] access counts accumulated by this
-    kernel's executions, sorted by slot name. The observed-access
+(** Per-slot [(slot, reads, writes)] access counts folded from the
+    same log as {!lock_pair_counts}, sorted by slot name: [] unless
+    the kernel ran under {!Validate.enabled}. The observed-access
     signal behind [healer analyze --effects]. *)
 
 val exec_call :
@@ -96,12 +102,12 @@ val exec_call :
 (** Execute one call against the kernel. Coverage lands in [cov]
     (caller resets it between calls). [fault] injects an allocation
     failure into this call. May raise {!Crash.Crash}. Unknown syscall
-    names return [ENOSYS]. Under {!Lock.validate_enabled} the call's
-    recorded lock-acquisition trace is checked against its declared
-    spec and the order graph; a divergence raises {!Lock.Violation}.
-    Likewise under {!Effect.validate_enabled} the observed state-slot
-    access trace must be covered by the handler's declared
-    {!Effect.spec}; drift raises {!Effect.Violation}. *)
+    names return [ENOSYS]. Under {!Validate.enabled} the call's slice
+    of the access log is checked: its lock operations against the
+    handler's declared spec and the order graph (a divergence raises
+    {!Lock.Violation}), then its state-slot reads and writes against
+    the handler's declared {!Effect.spec} (drift raises
+    {!Effect.Violation}). *)
 
 val coredump : t -> cov:Coverage.t -> unit
 (** Run the core-dump path, entered after a fault-injected call kills

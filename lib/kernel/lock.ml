@@ -6,20 +6,16 @@
 
    The model is deliberately simulator-shaped: the simulated kernel is
    single-threaded, so locks never block — acquire/release hooks only
-   *account* (lock-pair coverage counters) and *record* (acquisition
-   traces under debug validation). What lockdep checks is therefore
-   the declared discipline, exactly like Linux's lockdep validates
-   would-be deadlocks on a machine that never actually deadlocks. *)
+   *record* (into the kernel's access log, under debug validation).
+   What lockdep checks is therefore the declared discipline, exactly
+   like Linux's lockdep validates would-be deadlocks on a machine that
+   never actually deadlocks. *)
 
 (* ---- classes ---- *)
 
-type cls = { id : int; cname : string; rank : int; guards : string list }
+type cls = { cname : string; rank : int; guards : string list }
 
-let next_id = ref 0
-
-let make ?(guards = []) ~rank cname =
-  incr next_id;
-  { id = !next_id; cname; rank; guards }
+let make ?(guards = []) ~rank cname = { cname; rank; guards }
 
 (* Process-global registry, filled by subsystem modules at module-init
    time (like [Subsystem.register]). Idempotent by name. *)
@@ -68,113 +64,6 @@ let () =
       Some
         (Printf.sprintf "Lock.Violation(%s: %s: %s)" f.check f.subject f.msg)
     | _ -> None)
-
-(* ---- runtime switches ---- *)
-
-let env_on var =
-  match Sys.getenv_opt var with
-  | None -> false
-  | Some v -> (
-    match String.lowercase_ascii (String.trim v) with
-    | "" | "0" | "false" | "no" | "off" -> false
-    | _ -> true)
-
-(* Trace recording + per-call validation follow the same debug
-   contract as the program validator ([Progcheck]): opt-in via
-   HEALER_DEBUG_VALIDATE, forced on across `dune runtest`. *)
-let validate = ref (env_on "HEALER_DEBUG_VALIDATE")
-let validate_enabled () = !validate
-let set_validate b = validate := b
-
-(* ---- lock-pair coverage counter slots ----
-
-   The per-acquire hot path must stay cheap (it runs on every handler
-   of every executed call), so counters are dense int slots into
-   [State]'s lock-count array, not string-keyed counters: bumping one
-   is an array increment. Slot indices are memoized per class pair /
-   class; [slot_name] maps them back to the printable "lock:pair:A->B"
-   / "lock:acq:C" keys. The memo tables are filled for every
-   registered pair by [force_pairs] (from [Kernel.force_init]) before
-   any parallel campaign starts; after that they are only read. *)
-
-let counter_prefix = "lock:"
-let pair_prefix = "lock:pair:"
-let acq_prefix = "lock:acq:"
-let slot_names = ref (Array.make 0 "")
-let n_slots = ref 0
-
-let new_slot name =
-  let i = !n_slots in
-  let cap = Array.length !slot_names in
-  if i >= cap then begin
-    let a = Array.make (max 16 (2 * cap)) "" in
-    Array.blit !slot_names 0 a 0 cap;
-    slot_names := a
-  end;
-  !slot_names.(i) <- name;
-  incr n_slots;
-  i
-
-let slot_name i = !slot_names.(i)
-let n_counter_slots () = !n_slots
-
-(* The memos are dense arrays indexed by class id (0 = unassigned, so
-   slot s is stored as s+1): a pair lookup on the acquire hot path is
-   two array reads, no tuple allocation, no hashing. *)
-let pair_slots : int array array ref = ref [||]
-let acq_slots : int array ref = ref [||]
-
-let ensure_id id =
-  let cap = Array.length !acq_slots in
-  if id >= cap then begin
-    let cap' = max 16 (max (id + 1) (2 * cap)) in
-    let a = Array.make cap' 0 in
-    Array.blit !acq_slots 0 a 0 cap;
-    acq_slots := a;
-    let m = Array.make cap' [||] in
-    Array.blit !pair_slots 0 m 0 (Array.length !pair_slots);
-    pair_slots := m
-  end
-
-let pair_counter outer inner =
-  let m = !pair_slots in
-  let row = if outer.id < Array.length m then m.(outer.id) else [||] in
-  if inner.id < Array.length row && row.(inner.id) > 0 then row.(inner.id) - 1
-  else begin
-    ensure_id outer.id;
-    ensure_id inner.id;
-    let row = !pair_slots.(outer.id) in
-    let row =
-      if inner.id < Array.length row then row
-      else begin
-        let r = Array.make (Array.length !acq_slots) 0 in
-        Array.blit row 0 r 0 (Array.length row);
-        !pair_slots.(outer.id) <- r;
-        r
-      end
-    in
-    let s = new_slot (pair_prefix ^ outer.cname ^ "->" ^ inner.cname) in
-    row.(inner.id) <- s + 1;
-    s
-  end
-
-let acq_counter c =
-  let a = !acq_slots in
-  if c.id < Array.length a && a.(c.id) > 0 then a.(c.id) - 1
-  else begin
-    ensure_id c.id;
-    let s = new_slot (acq_prefix ^ c.cname) in
-    !acq_slots.(c.id) <- s + 1;
-    s
-  end
-
-let force_pairs () =
-  let all = registered () in
-  List.iter
-    (fun a ->
-      ignore (acq_counter a);
-      List.iter (fun b -> if a.id <> b.id then ignore (pair_counter a b)) all)
-    all
 
 (* ---- checking core ---- *)
 

@@ -5,15 +5,14 @@
     {!Kernel.exec_call}.
 
     The simulated kernel is single-threaded, so acquire/release never
-    block: the hooks account lock-pair coverage and (under debug
-    validation) record acquisition traces, and lockdep checks the
+    block: under debug validation ({!Validate}) the hooks record each
+    acquisition in the kernel's access log, and lockdep checks the
     declared discipline — exactly like Linux's lockdep reports
     would-be deadlocks on executions that never actually deadlock. *)
 
 (** {2 Lock classes} *)
 
 type cls = {
-  id : int;  (** Dense registration id; keys the counter memos. *)
   cname : string;  (** Class name, e.g. ["rtnl"]. *)
   rank : int;
       (** Declared nesting order: a handler may only acquire a class
@@ -93,45 +92,3 @@ val check_trace :
     order must be a subsequence of the handler's declared spec
     ([lock-spec-mismatch]) and must not invert the declared order
     graph. *)
-
-(** {2 Runtime switches} *)
-
-val env_on : string -> bool
-(** Parse a boolean environment toggle (unset or
-    ["" | 0 | false | no | off] are false); shared with {!Effect}. *)
-
-val validate_enabled : unit -> bool
-(** Trace recording + per-call validation; same contract as
-    {!Healer_executor.Progcheck}: opt-in via [HEALER_DEBUG_VALIDATE],
-    forced on across [dune runtest]. *)
-
-val set_validate : bool -> unit
-
-(** {2 Lock-pair coverage counters}
-
-    Acquisitions are accounted in dense integer slots into
-    {!State.t}'s lock-count array (so the per-acquire hot path is an
-    array increment): one slot per acquisition of class [C]
-    (["lock:acq:C"]) and one per acquisition of [B] while holding [A]
-    (["lock:pair:A->B"]) — the queryable concurrency-coverage signal
-    ({!Kernel.lock_pair_counts}). {!slot_name} maps a slot back to its
-    printable key. *)
-
-val counter_prefix : string
-val pair_prefix : string
-val acq_prefix : string
-
-val pair_counter : cls -> cls -> int
-(** Memoized counter slot for (outer, inner). *)
-
-val acq_counter : cls -> int
-
-val slot_name : int -> string
-(** The printable ["lock:pair:A->B"] / ["lock:acq:C"] key of a slot. *)
-
-val n_counter_slots : unit -> int
-
-val force_pairs : unit -> unit
-(** Pre-assign counter slots for every registered class pair so the
-    hot path never mutates the memos; {!Kernel.force_init} calls this
-    before campaigns go parallel. *)

@@ -10,6 +10,12 @@ type fd_entry = {
 
 type global = ..
 
+type access =
+  | Acquire of string
+  | Release of string
+  | Read of int
+  | Write of int
+
 type t = {
   kversion : Version.t;
   mutable next_fd : int;
@@ -17,17 +23,9 @@ type t = {
   mutable ops : int;
   globals : (string, global) Hashtbl.t;
   counters : (string, int) Hashtbl.t;
-  (* Lock-acquisition counters, indexed by [Lock]'s dense counter
-     slots. A plain int array keeps the per-acquire hook at an array
-     increment; grown on demand. *)
-  mutable lock_counts : int array;
-  (* Effect-access counters (one read + one write counter per [Effect]
-     slot, same dense-array scheme) and, under debug validation, the
-     current call's observed access trace (encoded [slot*2 + is_write],
-     innermost-last). *)
-  mutable eff_reads : int array;
-  mutable eff_writes : int array;
-  mutable eff_trace : int list;
+  (* Every lock and slot access since boot, newest first; recorded
+     only while [Validate] is armed. *)
+  mutable log : access list;
 }
 
 let create ~version =
@@ -38,10 +36,7 @@ let create ~version =
     ops = 0;
     globals = Hashtbl.create 16;
     counters = Hashtbl.create 16;
-    lock_counts = [||];
-    eff_reads = [||];
-    eff_writes = [||];
-    eff_trace = [];
+    log = [];
   }
 
 let version t = t.kversion
@@ -107,60 +102,14 @@ let counter t name =
 
 let set_counter t name v = Hashtbl.replace t.counters name v
 
-let bump_lock t slot =
-  let n = Array.length t.lock_counts in
-  if slot >= n then begin
-    let a = Array.make (max 16 (max (slot + 1) (2 * n))) 0 in
-    Array.blit t.lock_counts 0 a 0 n;
-    t.lock_counts <- a
-  end;
-  let a = t.lock_counts in
-  Array.unsafe_set a slot (Array.unsafe_get a slot + 1)
+(* ---- the access log ----
 
-let lock_slot_counts t =
-  let out = ref [] in
-  Array.iteri (fun i n -> if n > 0 then out := (i, n) :: !out) t.lock_counts;
-  List.rev !out
+   Called from [Ctx.with_lock] and the instrumented subsystem
+   accessors on every execution: one flag test while validation is
+   off. Results never depend on the log. *)
 
-(* ---- effect-access recording ----
-
-   Called from the instrumented subsystem accessors: an array
-   increment, plus a trace cons under validation. Results never
-   depend on it. *)
-
-let grown a slot =
-  let n = Array.length a in
-  if slot < n then a
-  else begin
-    let a' = Array.make (max 16 (max (slot + 1) (2 * n))) 0 in
-    Array.blit a 0 a' 0 n;
-    a'
-  end
-
-let record_read t slot =
-  let a = grown t.eff_reads slot in
-  t.eff_reads <- a;
-  Array.unsafe_set a slot (Array.unsafe_get a slot + 1);
-  if Effect.validate_enabled () then t.eff_trace <- (slot * 2) :: t.eff_trace
-
-let record_write t slot =
-  let a = grown t.eff_writes slot in
-  t.eff_writes <- a;
-  Array.unsafe_set a slot (Array.unsafe_get a slot + 1);
-  if Effect.validate_enabled () then
-    t.eff_trace <- ((slot * 2) + 1) :: t.eff_trace
-
-let reset_effect_trace t = t.eff_trace <- []
-
-let effect_trace t =
-  List.rev_map (fun e -> (e land 1 = 1, e asr 1)) t.eff_trace
-
-let effect_slot_counts t =
-  let get a i = if i < Array.length a then Array.unsafe_get a i else 0 in
-  let n = max (Array.length t.eff_reads) (Array.length t.eff_writes) in
-  let out = ref [] in
-  for i = n - 1 downto 0 do
-    let r = get t.eff_reads i and w = get t.eff_writes i in
-    if r > 0 || w > 0 then out := (i, r, w) :: !out
-  done;
-  !out
+let record_acquire t cls = if Validate.enabled () then t.log <- Acquire cls :: t.log
+let record_release t cls = if Validate.enabled () then t.log <- Release cls :: t.log
+let record_read t slot = if Validate.enabled () then t.log <- Read slot :: t.log
+let record_write t slot = if Validate.enabled () then t.log <- Write slot :: t.log
+let log t = t.log

@@ -1,5 +1,6 @@
-(** Shared kernel state: the file-descriptor table and per-subsystem
-    global slots.
+(** Shared kernel state: the file-descriptor table, per-subsystem
+    global slots and, under debug validation, the log of lock and slot
+    accesses.
 
     Subsystems extend {!fd_kind} with their own object constructors
     (like [struct file] private data) and register whole-subsystem
@@ -25,7 +26,8 @@ type global = ..
 type t
 
 val create : version:Version.t -> t
-(** A fresh kernel: no descriptors, no globals, counters at zero.
+(** A fresh kernel: no descriptors, no globals, counters at zero, an
+    empty access log.
     Every execution starts from one, so it is kept cheap. *)
 
 val version : t -> Version.t
@@ -82,38 +84,28 @@ val incr_counter : t -> string -> int
 val counter : t -> string -> int
 val set_counter : t -> string -> int -> unit
 
-(** {2 Lock-acquisition counters}
+(** {2 The access log}
 
-    Dense integer slots (assigned by [Lock]) into a plain int array,
-    so the per-acquire accounting hook is an array increment — far
-    cheaper than a string-keyed counter on the execution hot path. *)
+    While {!Validate} is armed, the kernel records every lock
+    acquisition and release ([Ctx.with_lock]) and every state-slot
+    read and write (the instrumented subsystem accessors, with
+    [Effect]'s interned slot indices) in one log per state. Each
+    record costs one flag test while validation is off, and results
+    never depend on the log. [Kernel.exec_call] checks each call's
+    slice of it against the handler's declared specs; the
+    [Kernel] count functions fold it. *)
 
-val bump_lock : t -> int -> unit
-(** Increment a lock-counter slot, growing the array on demand. *)
+type access =
+  | Acquire of string  (** Lock class name. *)
+  | Release of string
+  | Read of int  (** [Effect] slot index. *)
+  | Write of int
 
-val lock_slot_counts : t -> (int * int) list
-(** The non-zero [(slot, count)] pairs, in slot order.
-    {!Kernel.lock_pair_counts} maps slots back to printable keys. *)
-
-(** {2 Effect-access recording}
-
-    Instrumented subsystem accessors call these with [Effect]'s dense
-    slot indices. Accesses are counted per slot (one read + one write
-    counter, array-increment hot path); under debug validation
-    ({!Effect.validate_enabled}) the current call's access trace is
-    recorded too, for the declared-vs-observed check in
-    [Kernel.exec_call]. Results never depend on recording. *)
-
+val record_acquire : t -> string -> unit
+val record_release : t -> string -> unit
 val record_read : t -> int -> unit
 val record_write : t -> int -> unit
 
-val reset_effect_trace : t -> unit
-(** Clear the per-call trace ([Kernel] calls it at call entry). *)
-
-val effect_trace : t -> (bool * int) list
-(** The recorded trace in access order, decoded to
-    [(is_write, effect slot)]. *)
-
-val effect_slot_counts : t -> (int * int * int) list
-(** Non-zero [(slot, reads, writes)] triples in slot order;
-    {!Kernel.effect_counts} maps slots back to names. *)
+val log : t -> access list
+(** Every access recorded since {!create}, newest first. Empty unless
+    {!Validate.enabled} was set while the accesses ran. *)

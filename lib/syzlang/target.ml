@@ -401,82 +401,6 @@ let iter_ty t f ty =
   in
   go ty
 
-(* Superseded by the [Healer_analysis] pass framework, which reports
-   the same findings with stable check IDs, severities and source
-   positions. Kept only for out-of-tree callers. *)
-let lint t =
-  let warnings = ref [] in
-  let warn fmt = Fmt.kstr (fun s -> warnings := s :: !warnings) fmt in
-  let used_flags = Hashtbl.create 32 in
-  let used_structs = Hashtbl.create 32 in
-  let used_unions = Hashtbl.create 32 in
-  Array.iter
-    (fun (c : Syscall.t) ->
-      List.iter
-        (fun (f : Field.t) ->
-          iter_ty t
-            (function
-              | Ty.Flags name -> Hashtbl.replace used_flags name ()
-              | Ty.Struct_ref name -> Hashtbl.replace used_structs name ()
-              | Ty.Union_ref name -> Hashtbl.replace used_unions name ()
-              | _ -> ())
-            f.Field.fty)
-        c.Syscall.args)
-    t.calls;
-  List.iter
-    (fun kind ->
-      let produced =
-        (* A kind counts as produced when anything produces it or a
-           subkind a consumer would accept in its place. *)
-        Array.exists
-          (fun (c : Syscall.t) ->
-            List.exists
-              (fun r -> compatible t ~consumer:kind ~producer:r)
-              t.produced.(c.id))
-          t.calls
-      in
-      let consumed =
-        Array.exists
-          (fun (c : Syscall.t) ->
-            List.exists
-              (fun cns -> compatible t ~consumer:cns ~producer:kind)
-              t.consumed.(c.id))
-          t.calls
-      in
-      if not produced then warn "resource %s has no producer" kind;
-      if not consumed then warn "resource %s has no consumer" kind)
-    t.kinds;
-  Hashtbl.iter
-    (fun name _ ->
-      if not (Hashtbl.mem used_flags name) then warn "flag set %s is unused" name)
-    t.flagsets;
-  Hashtbl.iter
-    (fun name _ ->
-      if not (Hashtbl.mem used_structs name) then warn "struct %s is unreachable" name)
-    t.structs;
-  Hashtbl.iter
-    (fun name _ ->
-      if not (Hashtbl.mem used_unions name) then warn "union %s is unreachable" name)
-    t.unions;
-  Array.iter
-    (fun (c : Syscall.t) ->
-      List.iter
-        (fun kind ->
-          let some_producer =
-            Array.exists
-              (fun (p : Syscall.t) ->
-                List.exists
-                  (fun r -> compatible t ~consumer:kind ~producer:r)
-                  t.produced.(p.id))
-              t.calls
-          in
-          if not some_producer then
-            warn "%s consumes %s, which nothing can produce" c.Syscall.name kind)
-        t.consumed.(c.id))
-    t.calls;
-  List.sort String.compare !warnings
-[@@ocaml.deprecated "use the Healer_analysis passes instead"]
-
 let pp_summary ppf t =
   Fmt.pf ppf "target %s: %d syscalls, %d resources, %d flag sets, %d structs"
     t.tname (Array.length t.calls)

@@ -88,19 +88,3 @@ val iter_ty : t -> (Ty.t -> unit) -> Ty.t -> unit
     expanding struct/union references. *)
 
 val pp_summary : Format.formatter -> t -> unit
-
-val lint : t -> string list
-  [@@ocaml.deprecated "use the Healer_analysis passes instead"]
-(** Description-quality diagnostics, addressing the paper's Section 8
-    concern that hand-written descriptions are neither complete nor
-    correct. Reported (as human-readable warnings):
-    - resource kinds nothing produces (their consumers can only ever
-      receive special values);
-    - resource kinds nothing consumes (producing them is pointless);
-    - flag sets no call references;
-    - structs/unions no call reaches;
-    - calls consuming a kind that has no producer.
-
-    @deprecated Superseded by the [Healer_analysis] pass framework
-    (the [lint-*] checks), which adds severities, stable check IDs and
-    source positions. *)

@@ -24,6 +24,13 @@ let run ?version ?san ?features ?fault_call p =
   let kernel = boot ?version ?san ?features () in
   snd (Exec.run ?fault_call kernel p)
 
+(* Run [f] with debug validation off, as campaigns run, restoring the
+   switch afterwards (main.ml arms it for the whole suite). *)
+let without_validation f =
+  let was = K.Validate.enabled () in
+  K.Validate.set false;
+  Fun.protect ~finally:(fun () -> K.Validate.set was) f
+
 (* Common value shorthands. *)
 let i v = Value.Int v
 let iv v = Value.Int (Int64.of_int v)

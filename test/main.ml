@@ -1,7 +1,7 @@
 (* The whole suite runs with program validation enforced: any stage
    that emits a validator-dirty program fails loudly (the
    HEALER_DEBUG_VALIDATE contract). *)
-let () = Healer_executor.Progcheck.set_debug true
+let () = Healer_kernel.Validate.set true
 
 let () =
   Alcotest.run "healer"

@@ -3,8 +3,7 @@
    effect-clean" tests, runtime observed-vs-declared validation, the
    effect-count accounting, and property suites asserting the
    gen/mutate/minimize pipeline never trips the runtime effect
-   validator (armed suite-wide by main.ml via
-   [Progcheck.set_debug true]). *)
+   validator (armed suite-wide by main.ml via [Validate.set true]). *)
 
 module E = Healer_kernel.Effect
 module Lock = Healer_kernel.Lock
@@ -385,8 +384,8 @@ let test_predicted_edges_shape () =
 
 (* ---- effect-count accounting ---- *)
 
-(* An open/read pair touches the vfs "fs" slot: the per-slot counters
-   must land in the kernel state. *)
+(* An open/read pair touches the vfs "fs" slot: the per-slot counts
+   folded from the kernel's access log must include it. *)
 let test_slot_counts () =
   let kernel = boot () in
   let k', result =
@@ -405,10 +404,9 @@ let test_slot_counts () =
 
 (* ---- runtime validation properties ----
 
-   main.ml arms Progcheck.set_debug true for the whole binary, which
-   also arms Effect.set_validate: every Exec.run below records each
-   call's observed slot accesses and raises Effect.Violation if one
-   escapes the handler's declared spec. The properties assert
+   main.ml arms Validate.set true for the whole binary: every Exec.run
+   below records each call's observed slot accesses and raises
+   Effect.Violation if one escapes the handler's declared spec. The properties assert
    observed ⊆ declared across the whole pipeline. *)
 
 let gen_prog seed =
@@ -420,7 +418,7 @@ let gen_prog seed =
 let test_validated_generation =
   qcheck ~count:100 "generated programs execute within declared effects"
     QCheck2.Gen.small_int (fun seed ->
-      Alcotest.(check bool) "validation armed" true (E.validate_enabled ());
+      Alcotest.(check bool) "validation armed" true (K.Validate.enabled ());
       ignore (run (gen_prog seed));
       true)
 
@@ -457,7 +455,7 @@ let test_validated_minimization =
 
 (* And the seed corpus executes violation-free. *)
 let test_seed_corpus_validates () =
-  Alcotest.(check bool) "validation armed" true (E.validate_enabled ());
+  Alcotest.(check bool) "validation armed" true (K.Validate.enabled ());
   List.iter
     (fun p -> ignore (run p))
     (Seeds.traces (tgt ()) @ Seeds.distilled (tgt ()))

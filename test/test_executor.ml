@@ -176,10 +176,7 @@ let test_roundtrip_explicit () =
    for shape coverage rather than type correctness — so decode-time
    validation is scoped off for this one test. *)
 let test_roundtrip_all_value_forms () =
-  let was = Healer_executor.Progcheck.debug_enabled () in
-  Healer_executor.Progcheck.set_debug false;
-  Fun.protect ~finally:(fun () -> Healer_executor.Progcheck.set_debug was)
-  @@ fun () ->
+  without_validation @@ fun () ->
   let p =
     prog
       [
@@ -219,10 +216,7 @@ let test_serializer_malformed () =
    Validation is off, as on the production decode path, so nothing
    but the depth cap rejects them. *)
 let test_serializer_nesting_bound () =
-  let was = Healer_executor.Progcheck.debug_enabled () in
-  Healer_executor.Progcheck.set_debug false;
-  Fun.protect ~finally:(fun () -> Healer_executor.Progcheck.set_debug was)
-  @@ fun () ->
+  without_validation @@ fun () ->
   let encoded link n =
     let b = Buffer.create ((String.length link * n) + 16) in
     Buffer.add_string b "HLR1";

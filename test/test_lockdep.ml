@@ -3,7 +3,7 @@
    tests, runtime-trace validation, lock-pair coverage accounting, and
    property suites asserting the gen/mutate/minimize pipeline never
    trips the runtime validator (armed suite-wide by main.ml via
-   [Progcheck.set_debug true]). *)
+   [Validate.set true]). *)
 
 module Lock = Healer_kernel.Lock
 module Prog = Healer_executor.Prog
@@ -308,12 +308,93 @@ let test_pair_counts () =
         (List.exists (fun (c', n) -> c' = c && n > 0) acqs))
     [ "rtnl"; "nl_sock" ]
 
+(* Each acquisition counts a pair with every class held, not only the
+   innermost one: three nested classes give three pairs. Driven through
+   [Ctx.with_lock] directly, since no handler nests three deep. *)
+let test_pair_counts_every_held () =
+  Alcotest.(check bool) "validation armed" true (K.Validate.enabled ());
+  let k = boot () in
+  let ctx =
+    K.Ctx.make ~st:(K.Kernel.state k) ~san:K.Sanitizer.default
+      (K.Coverage.create ())
+  in
+  let cls name = Option.get (Lock.find name) in
+  K.Ctx.with_lock ctx (cls "rtnl") (fun () ->
+      K.Ctx.with_lock ctx (cls "genl_mutex") (fun () ->
+          K.Ctx.with_lock ctx (cls "nl_sock") ignore));
+  K.Ctx.with_lock ctx (cls "nl_sock") ignore;
+  Alcotest.(check (list (pair (pair string string) int)))
+    "one pair per held class"
+    [
+      (("genl_mutex", "nl_sock"), 1);
+      (("rtnl", "genl_mutex"), 1);
+      (("rtnl", "nl_sock"), 1);
+    ]
+    (K.Kernel.lock_pair_counts k);
+  Alcotest.(check (list (pair string int)))
+    "acquisitions"
+    [ ("genl_mutex", 1); ("nl_sock", 2); ("rtnl", 1) ]
+    (K.Kernel.lock_acquire_counts k)
+
+(* A call that crashes while holding a lock still counts the
+   acquisition: the io_ring_exit_work reproducer crashes inside its
+   second io_uring_enter, under uring_ctx. *)
+let test_crash_counts_held_lock () =
+  let repro =
+    List.find
+      (fun (r : Bug_repros.repro) -> r.Bug_repros.key = "io_ring_exit_work")
+      Bug_repros.all
+  in
+  let k', result =
+    Exec.run (boot ~version:repro.Bug_repros.version ()) (repro.Bug_repros.build ())
+  in
+  (match result.Exec.crash with
+  | Some c ->
+    Alcotest.(check string) "bug" "io_ring_exit_work" c.K.Crash.bug_key;
+    Alcotest.(check string) "crashing call" "io_uring_enter" c.K.Crash.call_name
+  | None -> Alcotest.fail "expected a crash");
+  Alcotest.(check (option int)) "both enters counted" (Some 2)
+    (List.assoc_opt "uring_ctx" (K.Kernel.lock_acquire_counts k'))
+
+(* Campaigns run with validation off, and then the kernel records
+   nothing: all three count functions are empty for a program that
+   takes locks and touches state slots. *)
+let test_unarmed_records_nothing () =
+  let p =
+    prog
+      [
+        call "open" [ s "/tmp/f1"; i 0x40L; i 0x1ffL ];
+        call "socket$nl_route" [ i 16L; i 3L; i 0L ];
+        call "sendmsg$RTM_GETLINK"
+          [
+            r 1;
+            group
+              [
+                iv 32; iv 18; iv 0x300; i 0L;
+                Value.Group [ i 0L; i 0L; iv 0; iv 0; iv 0 ];
+                Value.Group [];
+              ];
+            i 0L;
+          ];
+      ]
+  in
+  let armed = fst (Exec.run (boot ()) p) in
+  Alcotest.(check bool) "armed run counts" true
+    (K.Kernel.lock_pair_counts armed <> []
+    && K.Kernel.lock_acquire_counts armed <> []
+    && K.Kernel.effect_counts armed <> []);
+  let k' = without_validation (fun () -> fst (Exec.run (boot ()) p)) in
+  Alcotest.(check int) "no pairs" 0 (List.length (K.Kernel.lock_pair_counts k'));
+  Alcotest.(check int) "no acquisitions" 0
+    (List.length (K.Kernel.lock_acquire_counts k'));
+  Alcotest.(check int) "no slot accesses" 0
+    (List.length (K.Kernel.effect_counts k'))
+
 (* ---- runtime validation properties ----
 
-   main.ml arms Progcheck.set_debug true for the whole binary, which
-   also arms Lock.set_validate: every Exec.run below re-validates each
-   executed call's acquisition trace against the declared model and
-   raises Lock.Violation on divergence. The properties assert the
+   main.ml arms Validate.set true for the whole binary: every Exec.run
+   below re-validates each executed call's acquisition trace against
+   the declared model and raises Lock.Violation on divergence. The properties assert the
    pipeline never trips it. *)
 
 let gen_prog seed =
@@ -325,7 +406,7 @@ let gen_prog seed =
 let test_validated_generation =
   qcheck ~count:100 "generated programs execute without lock violations"
     QCheck2.Gen.small_int (fun seed ->
-      Alcotest.(check bool) "validation armed" true (Lock.validate_enabled ());
+      Alcotest.(check bool) "validation armed" true (K.Validate.enabled ());
       ignore (run (gen_prog seed));
       true)
 
@@ -363,7 +444,7 @@ let test_validated_minimization =
 (* And the seed corpus executes violation-free, with validation
    explicitly (re-)armed in case the suite's global flag changes. *)
 let test_seed_corpus_validates () =
-  Alcotest.(check bool) "validation armed" true (Lock.validate_enabled ());
+  Alcotest.(check bool) "validation armed" true (K.Validate.enabled ());
   List.iter
     (fun p -> ignore (run p))
     (Seeds.traces (tgt ()) @ Seeds.distilled (tgt ()))
@@ -402,6 +483,9 @@ let suite =
     case "check catalog" test_catalog;
     case "registered classes" test_registered_classes;
     case "lock-pair coverage counts" test_pair_counts;
+    case "pair counts: every held class" test_pair_counts_every_held;
+    case "counts: crashing call still counts" test_crash_counts_held_lock;
+    case "counts: nothing recorded unarmed" test_unarmed_records_nothing;
     case "seed corpus validates" test_seed_corpus_validates;
     case "runtime catches spec drift" test_runtime_catches_drift;
     test_validated_generation;

@@ -236,7 +236,7 @@ let test_catalog () =
 
 let test_debug_check () =
   (* main.ml turns validation on for the whole suite *)
-  Alcotest.(check bool) "debug on under the test runner" true (P.debug_enabled ());
+  Alcotest.(check bool) "debug on under the test runner" true (K.Validate.enabled ());
   let bad = prog [ open_call (); use_call ~c:(Value.Int 0L) () ] in
   (match P.debug_check ~what:"fixture" (mt ()) bad with
   | () -> Alcotest.fail "expected Progcheck.Invalid"
@@ -244,10 +244,7 @@ let test_debug_check () =
     Alcotest.(check bool) "names the stage" true (str_contains msg "fixture")
   | exception _ -> Alcotest.fail "expected Progcheck.Invalid");
   P.debug_check ~what:"fixture" (mt ()) (clean_prog ());
-  P.set_debug false;
-  Fun.protect
-    ~finally:(fun () -> P.set_debug true)
-    (fun () -> P.debug_check ~what:"fixture" (mt ()) bad)
+  without_validation (fun () -> P.debug_check ~what:"fixture" (mt ()) bad)
 
 (* Decoding a well-formed encoding of a type-invalid program is a
    Malformed input under debug validation. *)

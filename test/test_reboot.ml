@@ -10,7 +10,6 @@ module Target = Healer_syzlang.Target
 module K = Healer_kernel
 module Exec = Healer_executor.Exec
 module Vm = Healer_executor.Vm
-module Progcheck = Healer_executor.Progcheck
 module Rng = Healer_util.Rng
 module Nl = Test_kernel_netlink
 open Healer_core
@@ -134,22 +133,18 @@ let test_genl_ids () =
 (* ---- allocation gate ---- *)
 
 (* Mean minor-heap words one [Vm.run] allocates over the seed corpus,
-   measured on the production path (debug validation off: it records a
-   trace per call). The mean is exact for this corpus: about 560 words
-   with state created on first touch, about 1,000 when every boot set
-   up all subsystems and a crash triggered a second reboot. The bound
-   leaves a quarter of headroom and fails the eager boot. *)
+   measured on the production path (debug validation off: it records
+   every lock and slot access). The mean is exact for this corpus: 514
+   words with state created on first touch, about 1,000 when every
+   boot set up all subsystems and a crash triggered a second reboot.
+   The bound fails the eager boot. *)
 let words_per_run_bound = 700.0
 
 let test_alloc_gate () =
   let progs = Seeds.traces (tgt ()) @ Seeds.distilled (tgt ()) in
   let vm = Vm.create ~version:K.Version.V5_11 ~id:0 () in
-  let was = Progcheck.debug_enabled () in
-  Progcheck.set_debug false;
   let words =
-    Fun.protect
-      ~finally:(fun () -> Progcheck.set_debug was)
-      (fun () ->
+    without_validation (fun () ->
         (* One warm-up pass settles the lazily built process globals. *)
         List.iter (fun p -> ignore (Vm.run vm p)) progs;
         let before = Gc.minor_words () in
@@ -281,12 +276,8 @@ let test_replay_alloc_gate () =
     ignore (Sys.opaque_identity (f ()));
     Gc.minor_words () -. before
   in
-  let was = Progcheck.debug_enabled () in
-  Progcheck.set_debug false;
   let per_seed =
-    Fun.protect
-      ~finally:(fun () -> Progcheck.set_debug was)
-      (fun () ->
+    without_validation (fun () ->
         ignore (Fuzzer.create ~initial_seeds:seeds ~memo cfg);
         let bare = words (fun () -> Fuzzer.create cfg) in
         let warm = words (fun () -> Fuzzer.create ~initial_seeds:seeds ~memo cfg) in

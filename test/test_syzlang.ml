@@ -241,8 +241,10 @@ let test_specialization () =
   let o = Target.find_exn t "open" in
   Alcotest.(check bool) "open is not" false (Syscall.is_specialization o)
 
-(* The Target.lint checks moved to the Healer_analysis lint pass; see
-   test_analysis.ml for their coverage. *)
+(* Description-quality checks (unproduced or unconsumed resources,
+   unused flag sets, unreachable structs and unions) are the lint-*
+   checks of the Healer_analysis lint pass; test_analysis.ml covers
+   them. *)
 
 let test_decl_positions () =
   let t =
